@@ -8,12 +8,17 @@ Usage:
 OLD and NEW are directories containing BENCH_<name>.json files (as
 written by the bench binaries; see docs/METRICS.md for the schema), or
 two individual result files.  Cases are matched by (bench, label) and
-their deterministic simulated cycle counts compared:
+their deterministic outputs compared:
 
   - new > old * (1 + PCT/100)  ->  regression (exit 1)
-  - cycles == 0 on either side ->  skipped (wall-time-only case, e.g.
-                                   the micro_mechanisms host benches)
-  - present on one side only   ->  reported, not fatal
+  - checksum differs           ->  regression (exit 1): the output
+                                   changed, not just the performance
+  - baseline case missing from ->  regression (exit 1): a case that
+    the new results                disappears can no longer regress
+  - cycles == 0 on either side ->  cycles skipped (wall-time-only case,
+                                   e.g. the micro_mechanisms host
+                                   benches); the checksum still gates
+  - new case, no baseline      ->  reported, not fatal
 
 Host-speed gauges (the dotted "host.*" family, e.g. host.refs_per_sec)
 are wall-clock measurements and therefore advisory: they are printed
@@ -28,9 +33,14 @@ the first gap aborts the run; `--list-missing` collects *every*
 violation across all benches and cases, prints the full list, and then
 exits 2 — useful when wiring a new gauge through many benches at once.
 
-Exit codes: 0 no regression, 1 regression(s) past threshold,
-2 structural error (unreadable input, bad schema, nothing to compare,
-or a --require-metric violation).
+Exit codes: 0 no regression; 1 cycle regression(s) past threshold,
+changed checksum(s) or vanished case(s); 2 structural error
+(unreadable input, bad schema, nothing to compare, or a
+--require-metric violation).
+
+Comparing a subset of the benches?  Pass the baseline *file* of each
+bench you ran, not the whole baseline directory: every baseline case
+absent from NEW counts as vanished.
 """
 
 import argparse
@@ -190,13 +200,12 @@ def main():
             ratio = float(n_rps) / float(o_rps)
             host_notes.append((key, float(o_rps), float(n_rps), ratio))
 
+        if ("checksum" in o and "checksum" in n
+                and o["checksum"] != n["checksum"]):
+            checksum_changes.append(key)
         if oc == 0 or nc == 0:
             skipped += 1
             continue
-        if ("checksum" in o and "checksum" in n
-                and o["checksum"] != n["checksum"]
-                and (o["checksum"] or n["checksum"])):
-            checksum_changes.append(key)
         delta = 100.0 * (nc - oc) / oc
         tag = f"{key[0]}:{key[1]}"
         if delta > args.threshold:
@@ -211,10 +220,11 @@ def main():
     for tag, oc, nc, delta in regressions:
         print(f"  REGRESSED {tag}: {oc} -> {nc} ({delta:+.2f}%)")
     for key in checksum_changes:
-        print(f"  note: checksum changed for {key[0]}:{key[1]} "
+        print(f"  CHECKSUM  {key[0]}:{key[1]} changed "
               "(output differs, not just performance)")
     for key in only_old:
-        print(f"  note: case gone in new results: {key[0]}:{key[1]}")
+        print(f"  VANISHED  {key[0]}:{key[1]} (baseline case missing "
+              "from new results)")
     for key in only_new:
         print(f"  note: new case (no baseline): {key[0]}:{key[1]}")
     for key, metric in migration_notes:
@@ -230,14 +240,17 @@ def main():
     print(f"bench_diff: {len(common)} matched cases, "
           f"{skipped} wall-time-only skipped, "
           f"{len(improvements)} improved, {len(regressions)} regressed "
-          f"(threshold {args.threshold:.1f}%)")
+          f"(threshold {args.threshold:.1f}%), "
+          f"{len(checksum_changes)} checksum changed, "
+          f"{len(only_old)} vanished")
     if host_notes:
         gm = math.exp(sum(math.log(r) for *_, r in host_notes) /
                       len(host_notes))
         print(f"bench_diff: host.refs_per_sec geometric-mean "
               f"{gm:.2f}x over {len(host_notes)} cases (advisory)")
 
-    return EXIT_REGRESSION if regressions else EXIT_OK
+    failed = regressions or checksum_changes or only_old
+    return EXIT_REGRESSION if failed else EXIT_OK
 
 
 if __name__ == "__main__":

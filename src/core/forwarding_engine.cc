@@ -290,12 +290,15 @@ ForwardingEngine::condemnCorrupt(Addr word, Addr cur, Word payload,
     throw ForwardingIntegrityError(cur, payload, site);
 }
 
-WalkResult
-ForwardingEngine::resolve(Addr addr, AccessType type, Cycles start,
-                          SiteId site, Addr pointer_slot,
-                          std::uint32_t object_id)
+// Forced inline: each entry point then carries its own copy of the walk,
+// so the common unforwarded reference pays no extra call.
+template <bool Timed>
+[[gnu::always_inline]] inline WalkResult
+ForwardingEngine::walk(Addr addr, AccessType type, Cycles start,
+                       SiteId site, Addr pointer_slot,
+                       std::uint32_t object_id)
 {
-    Addr word = wordAlign(addr);
+    const Addr word = wordAlign(addr);
     const unsigned offset = wordOffset(addr);
 
     if (!mem_.fbit(word)) {
@@ -318,86 +321,67 @@ ForwardingEngine::resolve(Addr addr, AccessType type, Cycles start,
     if (faults_)
         faults_->corruptChain(mem_, word, FaultSite::resolve);
 
-    if (cfg_.mode == ForwardingConfig::Mode::perfect) {
-        // Idealized bound: resolve functionally with no time or cache
-        // effects, as if every pointer had been updated in advance.
-        // Reported hops are zero — under perfect forwarding no
-        // reference is ever "forwarded" (Figure 10's Perf case).
-        Addr cur = word;
-        unsigned hops = 0;
-        while (mem_.fbit(cur)) {
-            const Word payload = mem_.rawReadWord(cur);
-            if (cfg_.validate_targets && !isWordAligned(payload)) {
-                const Addr pin = condemnCorrupt(word, cur, payload, site);
-                return {pin + offset, 0, start, 0, false, false};
-            }
-            cur = wordAlign(payload);
-            ++hops;
-            if (hops > cfg_.hop_limit) {
-                const CycleCheckResult r = accurateCycleCheck(mem_, word);
-                if (r.is_cycle) {
-                    ++stats_.cycles_detected;
-                    const Addr pin = condemnChain(word, r.length,
-                                                  r.pre_cycle, site);
-                    return {pin + offset, 0, start, 0, false, false};
-                }
+    // Perfect mode is the idealized bound of Figure 10 ("Perf"): the
+    // chain is resolved with every architectural check, but with no
+    // time or cache effects, as if every pointer had been updated in
+    // advance — so the reference is reported as unforwarded.
+    const bool perfect = cfg_.mode == ForwardingConfig::Mode::perfect;
+    const bool exception = cfg_.mode == ForwardingConfig::Mode::exception;
+    Cycles t = start;
+
+    const auto trap = [&](Addr final_addr, unsigned hops) {
+        if (!traps_.armed() || type == AccessType::prefetch)
+            return;
+        traps_.deliver({site, addr, final_addr, hops, pointer_slot});
+        if constexpr (Timed) {
+            if (tracer_ && tracer_->active()) {
+                tracer_->emit({obs::EventKind::trap, type, t, addr,
+                               final_addr, hops, 0});
             }
         }
-        stats_.recordHops(0);
-        if (plane_)
-            temporalCheck(addr, cur + offset, hops, type, start, site,
-                          pointer_slot, object_id);
-        return {cur + offset, 0, start, 0, false, false};
-    }
+    };
 
-    // Translation-cache shortcut: a hit hands back the final address
-    // for ftc_hit_cost cycles — no hop accesses (hence no pollution)
-    // and, in exception mode, no exception, the "hardware remembers
-    // resolved addresses" idea the paper floats.  Checked after the
-    // fault hook so an injected corruption invalidates the cache
-    // (through the mutation listener) before it could be served stale.
-    if (cfg_.ftc_enabled) {
-        if (const TranslationCache::Entry *e = ftc_.lookup(word)) {
-            // Invalidation keeps entries whose final word regrew a
-            // chain out of the cache; re-check defensively and re-walk
-            // rather than serve a non-terminal address.
-            if (!mem_.fbit(e->final_word)) {
-                ++stats_.ftc_hits;
-                const Cycles t = start + cfg_.ftc_hit_cost;
-                stats_.recordHops(0);
-                const Addr final_addr = e->final_word + offset;
-                const unsigned cached_hops = e->hops;
-                if (tracer_ && tracer_->active()) {
-                    tracer_->emit({obs::EventKind::ftc, type, t, addr,
-                                   final_addr, cached_hops, 0});
-                }
-                if (traps_.armed() && type != AccessType::prefetch) {
+    if constexpr (Timed) {
+        // Translation-cache shortcut: a hit hands back the final address
+        // for ftc_hit_cost cycles — no hop accesses (hence no pollution)
+        // and, in exception mode, no exception, the "hardware remembers
+        // resolved addresses" idea the paper floats.  Checked after the
+        // fault hook so an injected corruption invalidates the cache
+        // (through the mutation listener) before it could be served
+        // stale.
+        if (cfg_.ftc_enabled && !perfect) {
+            if (const TranslationCache::Entry *e = ftc_.lookup(word)) {
+                // Invalidation keeps entries whose final word regrew a
+                // chain out of the cache; re-check defensively and
+                // re-walk rather than serve a non-terminal address.
+                if (!mem_.fbit(e->final_word)) {
+                    ++stats_.ftc_hits;
+                    t += cfg_.ftc_hit_cost;
+                    stats_.recordHops(0);
+                    const Addr final_addr = e->final_word + offset;
+                    const unsigned cached_hops = e->hops;
+                    if (tracer_ && tracer_->active()) {
+                        tracer_->emit({obs::EventKind::ftc, type, t, addr,
+                                       final_addr, cached_hops, 0});
+                    }
                     // The user-level trap still fires — stale-pointer
                     // tracking must see the same events with and
                     // without the cache.  It reports the chain length
                     // the fill-time walk measured.
-                    traps_.deliver({site, addr, final_addr, cached_hops,
-                                    pointer_slot});
-                    if (tracer_ && tracer_->active()) {
-                        tracer_->emit({obs::EventKind::trap, type, t,
-                                       addr, final_addr, cached_hops, 0});
+                    trap(final_addr, cached_hops);
+                    if (plane_) {
+                        temporalCheck(addr, final_addr, cached_hops, type,
+                                      t, site, pointer_slot, object_id);
                     }
+                    return {final_addr, 0, t, t - start, false, true};
                 }
-                if (plane_) {
-                    temporalCheck(addr, final_addr, cached_hops, type, t,
-                                  site, pointer_slot, object_id);
-                }
-                return {final_addr, 0, t, t - start, false, true};
+                stats_.ftc_invalidations += ftc_.invalidateStart(word);
             }
-            stats_.ftc_invalidations += ftc_.invalidateStart(word);
+            ++stats_.ftc_misses;
         }
-        ++stats_.ftc_misses;
+        if (exception)
+            t += cfg_.exception_cost;
     }
-
-    // Real forwarding: the reference pays for each hop.
-    Cycles t = start;
-    if (cfg_.mode == ForwardingConfig::Mode::exception)
-        t += cfg_.exception_cost;
 
     Addr cur = word;
     unsigned hops = 0;
@@ -405,101 +389,116 @@ ForwardingEngine::resolve(Addr addr, AccessType type, Cycles start,
     unsigned check_attempts = 0;
     bool hop_missed = false;
 
+    // The one result shape every exit of the walk reports.
+    const auto done = [&](Addr final_addr) -> WalkResult {
+        return {final_addr, perfect ? 0 : hops, t, t - start, hop_missed,
+                !perfect};
+    };
+
     while (mem_.fbit(cur)) {
-        // The hop reads the forwarding word through the cache — this is
-        // the pollution effect Section 5.4 measures: old locations stay
-        // live in the cache.
-        const HierarchyResult r =
-            hierarchy_.access(cur, AccessType::load, t);
-        if (r.l1 != MissKind::hit)
-            hop_missed = true;
-        t = r.ready + cfg_.hop_cost;
+        if constexpr (Timed) {
+            // The hop reads the forwarding word through the cache — this
+            // is the pollution effect Section 5.4 measures: old locations
+            // stay live in the cache.
+            if (!perfect) {
+                const HierarchyResult r =
+                    hierarchy_.access(cur, AccessType::load, t);
+                if (r.l1 != MissKind::hit)
+                    hop_missed = true;
+                t = r.ready + cfg_.hop_cost;
+            }
+        }
 
         const Word payload = mem_.rawReadWord(cur);
         if (cfg_.validate_targets && !isWordAligned(payload)) {
             // A legitimate forwarding word always holds a word-aligned
             // target (relocation endpoints are asserted aligned), so a
             // misaligned payload proves the word was corrupted.
-            const Addr pin = condemnCorrupt(word, cur, payload, site);
-            return {pin + offset, hops, t, t - start, hop_missed, true};
+            return done(condemnCorrupt(word, cur, payload, site) + offset);
         }
         cur = wordAlign(payload);
         ++hops;
-        ++hop_counter;
+        if (++hop_counter <= cfg_.hop_limit)
+            continue;
 
-        if (hop_counter > cfg_.hop_limit) {
-            // Fast counter overflowed: run the accurate software check.
-            t += cfg_.cycle_check_cost;
-            const CycleCheckResult chk = accurateCycleCheck(mem_, word);
-            if (chk.is_cycle) {
-                ++stats_.cycles_detected;
-                const Addr pin = condemnChain(word, chk.length,
-                                              chk.pre_cycle, site);
-                return {pin + offset, hops, t, t - start, hop_missed, true};
-            }
-            ++stats_.false_alarms;
+        // Fast counter overflowed: run the accurate software check.
+        if constexpr (Timed) {
+            if (!perfect)
+                t += cfg_.cycle_check_cost;
+        }
+        const CycleCheckResult chk = accurateCycleCheck(mem_, word);
+        if (chk.is_cycle) {
+            ++stats_.cycles_detected;
+            return done(condemnChain(word, chk.length, chk.pre_cycle, site)
+                        + offset);
+        }
+        hop_counter = 0; // false alarm: reset and resume
+        if (perfect)
+            continue; // no hop counter fires in the idealized bound
+        ++stats_.false_alarms;
+        if (exception) {
+            // The software handler re-walks the chain; bound the retries
+            // (architectural: it decides the outcome) and charge
+            // exponential backoff (timing only) so a pathological but
+            // acyclic chain cannot wedge the handler.
+            ++stats_.handler_retries;
             ++check_attempts;
-            if (cfg_.mode == ForwardingConfig::Mode::exception) {
-                // The software handler re-walks the chain; bound the
-                // retries and charge exponential backoff so a pathological
-                // (but acyclic) chain cannot wedge the handler.
-                ++stats_.handler_retries;
-                const Cycles backoff =
-                    cfg_.retry_backoff_base
-                    << std::min(check_attempts - 1, 16u);
+            if constexpr (Timed) {
+                const Cycles backoff = cfg_.retry_backoff_base
+                                       << std::min(check_attempts - 1, 16u);
                 t += backoff;
                 stats_.backoff_cycles += backoff;
-                if (check_attempts > cfg_.max_handler_retries) {
-                    const Addr pin = condemnChain(word, chk.length, cur,
-                                                  site);
-                    return {pin + offset, hops, t, t - start, hop_missed,
-                            true};
-                }
             }
-            hop_counter = 0; // false alarm: reset and resume
+            if (check_attempts > cfg_.max_handler_retries)
+                return done(condemnChain(word, chk.length, cur, site)
+                            + offset);
         }
     }
-
-    ++stats_.walks;
-    stats_.hops += hops;
-    stats_.hop_l1_misses += hop_missed ? 1 : 0;
-    stats_.recordHops(hops);
-
-    // Lazy chain collapsing: a long-enough walk earns a rewrite of the
-    // chain head straight at the final word, so later references pay at
-    // most one hop.  The rewrite is one store to the head word (which
-    // the walk's first hop just pulled into the cache), and preserves
-    // the resolution of every pointer into the chain.
-    if (cfg_.collapse_enabled && collapse_suspend_ == 0
-        && hops >= cfg_.collapse_threshold && cur != word) {
-        self_write_ = true;
-        mem_.unforwardedWrite(word, cur, true);
-        self_write_ = false;
-        const HierarchyResult wr =
-            hierarchy_.access(word, AccessType::store, t);
-        t = wr.ready;
-        ++stats_.chains_collapsed;
-    }
-
-    // The freshly-walked translation is the best possible fill.
-    if (cfg_.ftc_enabled)
-        ftc_.insert(word, cur, hops);
 
     const Addr final_addr = cur + offset;
+    if (perfect) {
+        stats_.recordHops(0);
+    } else {
+        ++stats_.walks;
+        stats_.hops += hops;
+        stats_.recordHops(hops);
+        if constexpr (Timed) {
+            stats_.hop_l1_misses += hop_missed ? 1 : 0;
 
-    if (traps_.armed() && type != AccessType::prefetch) {
-        traps_.deliver({site, addr, final_addr, hops, pointer_slot});
-        if (tracer_ && tracer_->active()) {
-            tracer_->emit({obs::EventKind::trap, type, t, addr,
-                           final_addr, hops, 0});
+            // Lazy chain collapsing: a long-enough walk earns a rewrite
+            // of the chain head straight at the final word, so later
+            // references pay at most one hop.  The rewrite is one store
+            // to the head word (which the walk's first hop just pulled
+            // into the cache), and preserves the resolution of every
+            // pointer into the chain.
+            if (cfg_.collapse_enabled && collapse_suspend_ == 0
+                && hops >= cfg_.collapse_threshold && cur != word) {
+                self_write_ = true;
+                mem_.unforwardedWrite(word, cur, true);
+                self_write_ = false;
+                t = hierarchy_.access(word, AccessType::store, t).ready;
+                ++stats_.chains_collapsed;
+            }
+
+            // The freshly-walked translation is the best possible fill.
+            if (cfg_.ftc_enabled)
+                ftc_.insert(word, cur, hops);
         }
+        trap(final_addr, hops);
     }
 
     if (plane_)
         temporalCheck(addr, final_addr, hops, type, t, site, pointer_slot,
                       object_id);
+    return done(final_addr);
+}
 
-    return {final_addr, hops, t, t - start, hop_missed, true};
+WalkResult
+ForwardingEngine::resolve(Addr addr, AccessType type, Cycles start,
+                          SiteId site, Addr pointer_slot,
+                          std::uint32_t object_id)
+{
+    return walk<true>(addr, type, start, site, pointer_slot, object_id);
 }
 
 WalkResult
@@ -507,81 +506,7 @@ ForwardingEngine::resolveFunctional(Addr addr, AccessType type,
                                     SiteId site, Addr pointer_slot,
                                     std::uint32_t object_id)
 {
-    Addr word = wordAlign(addr);
-    const unsigned offset = wordOffset(addr);
-
-    if (!mem_.fbit(word)) {
-        stats_.recordHops(0);
-        return {addr, 0, 0, 0, false, false};
-    }
-
-    if (auto it = quarantined_.find(word); it != quarantined_.end()) {
-        ++stats_.quarantine_hits;
-        stats_.recordHops(0);
-        return {it->second + offset, 0, 0, 0, false, true};
-    }
-
-    if (faults_)
-        faults_->corruptChain(mem_, word, FaultSite::resolve);
-
-    // Walk functionally: everything architectural (validation, cycle
-    // policy, quarantine, traps) behaves exactly as in the timed walk;
-    // only the cache accesses and cycle charges are absent.  The FTC is
-    // neither consulted nor filled and chains are never collapsed, so
-    // the heap stays bit-identical to an acceleration-free timed run.
-    Addr cur = word;
-    unsigned hops = 0;
-    unsigned hop_counter = 0;
-
-    while (mem_.fbit(cur)) {
-        const Word payload = mem_.rawReadWord(cur);
-        if (cfg_.validate_targets && !isWordAligned(payload)) {
-            const Addr pin = condemnCorrupt(word, cur, payload, site);
-            const bool fwd = cfg_.mode != ForwardingConfig::Mode::perfect;
-            return {pin + offset, fwd ? hops : 0, 0, 0, false, fwd};
-        }
-        cur = wordAlign(payload);
-        ++hops;
-        ++hop_counter;
-
-        if (hop_counter > cfg_.hop_limit) {
-            const CycleCheckResult chk = accurateCycleCheck(mem_, word);
-            if (chk.is_cycle) {
-                ++stats_.cycles_detected;
-                const Addr pin = condemnChain(word, chk.length,
-                                              chk.pre_cycle, site);
-                const bool fwd =
-                    cfg_.mode != ForwardingConfig::Mode::perfect;
-                return {pin + offset, fwd ? hops : 0, 0, 0, false, fwd};
-            }
-            ++stats_.false_alarms;
-            hop_counter = 0;
-        }
-    }
-
-    if (cfg_.mode == ForwardingConfig::Mode::perfect) {
-        // The Perf bound models pre-updated pointers: no reference is
-        // ever "forwarded", no trap fires (matching the timed path).
-        stats_.recordHops(0);
-        if (plane_)
-            temporalCheck(addr, cur + offset, hops, type, 0, site,
-                          pointer_slot, object_id);
-        return {cur + offset, 0, 0, 0, false, false};
-    }
-
-    ++stats_.walks;
-    stats_.hops += hops;
-    stats_.recordHops(hops);
-
-    const Addr final_addr = cur + offset;
-    if (traps_.armed() && type != AccessType::prefetch)
-        traps_.deliver({site, addr, final_addr, hops, pointer_slot});
-
-    if (plane_)
-        temporalCheck(addr, final_addr, hops, type, 0, site, pointer_slot,
-                      object_id);
-
-    return {final_addr, hops, 0, 0, false, true};
+    return walk<false>(addr, type, 0, site, pointer_slot, object_id);
 }
 
 void

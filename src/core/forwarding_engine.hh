@@ -324,14 +324,21 @@ class ForwardingEngine : public FwdStateListener
                        std::uint32_t object_id = 0);
 
     /**
-     * As resolve(), but functional: the chain is walked with full
-     * architectural semantics — quarantine pins, corruption validation,
-     * cycle detection and policy, user-level traps, walk statistics —
-     * but no cache accesses, no timing, and no accelerations (FTC fill
-     * and chain collapsing are skipped, so their counters do not
-     * advance).  The fast-forward execution mode resolves every
-     * reference through this path; `ready`/`forward_cycles` come back
-     * zero and `hop_missed_l1` false.
+     * As resolve(), but functional: the same chain walk minus its
+     * timed-only work.  The fast-forward execution mode resolves every
+     * reference through this path.
+     *
+     *  - Dropped: timing (no hop accesses through the hierarchy, no
+     *    exception, hop, cycle-check or backoff charges, so
+     *    `backoff_cycles` and `hop_l1_misses` stay put), the FTC (never
+     *    consulted or filled), chain collapsing, and the per-reference
+     *    trace events (`ftc`, `trap`; `temporal_violation` stays).
+     *  - Kept: target validation, the cycle policy and quarantine pins,
+     *    user-level traps, the exception-mode handler-retry bound, and
+     *    the walk counters (walks, hops, histogram, false alarms,
+     *    handler retries, cycles detected).
+     *
+     * `ready`/`forward_cycles` come back zero and `hop_missed_l1` false.
      */
     WalkResult resolveFunctional(Addr addr, AccessType type,
                                  SiteId site = no_site,
@@ -418,6 +425,15 @@ class ForwardingEngine : public FwdStateListener
     void clearStats() { stats_ = ForwardingStats(); }
 
   private:
+    /**
+     * The one chain walk behind resolve() (Timed) and
+     * resolveFunctional(); the timed-only work sits behind
+     * `if constexpr (Timed)`.
+     */
+    template <bool Timed>
+    WalkResult walk(Addr addr, AccessType type, Cycles start, SiteId site,
+                    Addr pointer_slot, std::uint32_t object_id);
+
     /**
      * Apply the cycle policy to an unresolvable chain: quarantine it
      * (returning the pin) or throw.  @p length and @p pin come from the

@@ -121,235 +121,158 @@ Machine::translate(Addr addr, Cycles now)
     return tlb_->access(addr, now);
 }
 
-template <bool Traced>
-AccessResult
-Machine::accessImpl(const Access &a)
+// Forced inline: each of step()'s load and store cases gets a copy with
+// is_load folded to a constant.
+template <Machine::Exec E>
+[[gnu::always_inline]] inline AccessResult
+Machine::reference(const Access &a, bool is_load, std::uint64_t &alu_acc)
 {
-    ++refs_;
-    switch (a.kind) {
-      case RefKind::load: {
-        const std::uint64_t traps_before = fwd_->traps().delivered();
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
-        const WalkResult w = fwd_->resolve(a.addr, AccessType::load,
-                                           mi.issue, a.site,
-                                           a.pointer_slot, a.object_id);
-        const Cycles translated = translate(w.final_addr, w.ready);
-        const HierarchyResult r =
-            hierarchy_->access(w.final_addr, AccessType::load, translated);
-        const std::uint64_t value = mem_.readBytes(w.final_addr, a.size);
+    constexpr bool timed = E != Exec::functional;
+    const AccessType type = is_load ? AccessType::load : AccessType::store;
+    const std::uint64_t traps_before = fwd_->traps().delivered();
+    const MemIssue mi =
+        timed ? cpu_->issueMem(a.addr_ready, is_load) : MemIssue{};
+    const WalkResult w =
+        timed ? fwd_->resolve(a.addr, type, mi.issue, a.site,
+                              a.pointer_slot, a.object_id)
+              : fwd_->resolveFunctional(a.addr, type, a.site,
+                                        a.pointer_slot, a.object_id);
+    const HierarchyResult r =
+        timed ? hierarchy_->access(w.final_addr, type,
+                                   translate(w.final_addr, w.ready))
+              : HierarchyResult{};
 
+    std::uint64_t value = a.value;
+    if (is_load) {
+        value = mem_.readBytes(w.final_addr, a.size);
         ++loads_;
-        if (w.forwarded)
-            ++loads_forwarded_;
+        loads_forwarded_ += w.forwarded ? 1 : 0;
+    } else {
+        mem_.writeBytes(w.final_addr, a.size, a.value);
+        ++stores_;
+        stores_forwarded_ += w.forwarded ? 1 : 0;
+    }
 
-        const bool missed = (r.l1 != MissKind::hit) || w.hop_missed_l1;
-        if constexpr (Traced) {
-            tracer_.emit({obs::EventKind::reference, AccessType::load,
-                          mi.issue, a.addr, w.final_addr, w.hops, a.size});
+    Cycles done = 0;
+    if constexpr (timed) {
+        if constexpr (E == Exec::traced) {
+            tracer_.emit({obs::EventKind::reference, type, mi.issue,
+                          a.addr, w.final_addr, w.hops, a.size});
             if (w.hops > 0)
-                tracer_.emit({obs::EventKind::chain_walk, AccessType::load,
+                tracer_.emit({obs::EventKind::chain_walk, type,
                               mi.issue, a.addr, w.final_addr, w.hops,
                               a.size});
             if (r.l1 != MissKind::hit)
-                tracer_.emit({obs::EventKind::cache_miss, AccessType::load,
-                              mi.issue, a.addr, w.final_addr, 0, a.size});
+                tracer_.emit({obs::EventKind::cache_miss, type,
+                              mi.issue, a.addr, w.final_addr, 0,
+                              a.size});
         }
-        const Cycles done =
-            cpu_->finishLoad(mi, r.ready, w.forward_cycles, missed,
-                             wordAlign(a.addr), wordAlign(w.final_addr), 1);
-        return {value, done, w.hops, w.final_addr,
-                fwd_->traps().delivered() != traps_before};
-      }
-
-      case RefKind::store: {
-        const std::uint64_t traps_before = fwd_->traps().delivered();
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, false);
-        const WalkResult w = fwd_->resolve(a.addr, AccessType::store,
-                                           mi.issue, a.site,
-                                           a.pointer_slot, a.object_id);
-        const Cycles translated = translate(w.final_addr, w.ready);
-        const HierarchyResult r =
-            hierarchy_->access(w.final_addr, AccessType::store, translated);
-        mem_.writeBytes(w.final_addr, a.size, a.value);
-
-        ++stores_;
-        if (w.forwarded)
-            ++stores_forwarded_;
-        if constexpr (Traced) {
-            tracer_.emit({obs::EventKind::reference, AccessType::store,
-                          mi.issue, a.addr, w.final_addr, w.hops, a.size});
-            if (w.hops > 0)
-                tracer_.emit({obs::EventKind::chain_walk,
-                              AccessType::store, mi.issue, a.addr,
-                              w.final_addr, w.hops, a.size});
-            if (r.l1 != MissKind::hit)
-                tracer_.emit({obs::EventKind::cache_miss,
-                              AccessType::store, mi.issue, a.addr,
-                              w.final_addr, 0, a.size});
-        }
-
-        const bool missed = (r.l1 != MissKind::hit) || w.hop_missed_l1;
-        const Cycles done =
-            cpu_->finishStore(mi, r.ready, w.forward_cycles, missed,
-                              wordAlign(a.addr), wordAlign(w.final_addr),
-                              1);
-        return {a.value, done, w.hops, w.final_addr,
-                fwd_->traps().delivered() != traps_before};
-      }
-
-      case RefKind::read_fbit: {
-        // The forwarding bit cannot be tested until the word is in the
-        // primary cache (Section 3.2), so Read_FBit is a timed
-        // load-class access — just one that does not follow forwarding.
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
-        const HierarchyResult r =
-            hierarchy_->access(wordAlign(a.addr), AccessType::load,
-                               mi.issue);
-        const bool bit = mem_.fbit(a.addr);
-        const Cycles done =
-            cpu_->finishLoad(mi, r.ready, 0, r.l1 != MissKind::hit,
-                             wordAlign(a.addr), wordAlign(a.addr), 1);
-        return {bit ? 1u : 0u, done, 0, a.addr, false};
-      }
-
-      case RefKind::unforwarded_read: {
-        if (gate_ && gate_->enforcing())
-            gate_->checkUnforwardedRead(a.addr, mem_);
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
-        const HierarchyResult r =
-            hierarchy_->access(wordAlign(a.addr), AccessType::load,
-                               mi.issue);
-        const std::uint64_t value = mem_.rawReadWord(a.addr);
-        const Cycles done =
-            cpu_->finishLoad(mi, r.ready, 0, r.l1 != MissKind::hit,
-                             wordAlign(a.addr), wordAlign(a.addr), 1);
-        return {value, done, 0, a.addr, false};
-      }
-
-      case RefKind::unforwarded_write: {
-        if (gate_ && gate_->enforcing())
-            gate_->checkUnforwardedWrite(a.addr, a.value, a.fbit, mem_);
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, false);
-        const HierarchyResult r =
-            hierarchy_->access(wordAlign(a.addr), AccessType::store,
-                               mi.issue);
-        mem_.unforwardedWrite(a.addr, a.value, a.fbit);
-        const Cycles done =
-            cpu_->finishStore(mi, r.ready, 0, r.l1 != MissKind::hit,
-                              wordAlign(a.addr), wordAlign(a.addr), 1);
-        return {a.value, done, 0, a.addr, false};
-      }
-
-      case RefKind::prefetch: {
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
-        // Prefetches are non-binding: they do not follow forwarding (a
-        // prefetch of a forwarded word harmlessly pulls in the
-        // forwarding word itself) and never block graduation.
-        prefetcher_->issue(a.addr, static_cast<unsigned>(a.value),
-                           mi.issue);
-        cpu_->finishNonBlocking(mi);
-        return {0, 0, 0, a.addr, false};
-      }
-
-      case RefKind::compute:
-        cpu_->alu(a.value);
-        return {0, 0, 0, 0, false};
+        const bool missed = r.l1 != MissKind::hit || w.hop_missed_l1;
+        const Addr initial = wordAlign(a.addr);
+        const Addr final_word = wordAlign(w.final_addr);
+        done = is_load ? cpu_->finishLoad(mi, r.ready, w.forward_cycles,
+                                          missed, initial, final_word, 1)
+                       : cpu_->finishStore(mi, r.ready,
+                                           w.forward_cycles, missed,
+                                           initial, final_word, 1);
+    } else {
+        ++alu_acc;
+        done = cpu_->cycles();
     }
-    memfwd_panic("bad RefKind %u", static_cast<unsigned>(a.kind));
+    return {value, done, w.hops, w.final_addr,
+            fwd_->traps().delivered() != traps_before};
 }
 
+template <Machine::Exec E>
 AccessResult
-Machine::accessFunctional(const Access &a, std::uint64_t &alu_acc)
+Machine::step(const Access &a, std::uint64_t &alu_acc)
 {
-    // Functional fast-forward: forwarding semantics (chain resolution,
-    // traps, quarantine, cycle policy) stay exact; cache and CPU timing
-    // are skipped and every reference retires as one ALU instruction so
-    // instruction counts stay meaningful.
+    // Fast-forward (Exec::functional) keeps forwarding semantics — chain
+    // resolution, traps, quarantine, cycle policy — exact; cache and CPU
+    // timing are skipped and every reference retires as one ALU
+    // instruction, accumulated into @p alu_acc, so instruction counts
+    // stay meaningful.
+    constexpr bool timed = E != Exec::functional;
     ++refs_;
     switch (a.kind) {
-      case RefKind::load: {
-        const std::uint64_t traps_before = fwd_->traps().delivered();
-        const WalkResult w = fwd_->resolveFunctional(
-            a.addr, AccessType::load, a.site, a.pointer_slot, a.object_id);
-        const std::uint64_t value = mem_.readBytes(w.final_addr, a.size);
-        ++loads_;
-        if (w.forwarded)
-            ++loads_forwarded_;
-        ++alu_acc;
-        return {value, cpu_->cycles(), w.hops, w.final_addr,
-                fwd_->traps().delivered() != traps_before};
-      }
+      case RefKind::load:
+        return reference<E>(a, true, alu_acc);
+      case RefKind::store:
+        return reference<E>(a, false, alu_acc);
 
-      case RefKind::store: {
-        const std::uint64_t traps_before = fwd_->traps().delivered();
-        const WalkResult w = fwd_->resolveFunctional(
-            a.addr, AccessType::store, a.site, a.pointer_slot, a.object_id);
-        mem_.writeBytes(w.final_addr, a.size, a.value);
-        ++stores_;
-        if (w.forwarded)
-            ++stores_forwarded_;
-        ++alu_acc;
-        return {a.value, cpu_->cycles(), w.hops, w.final_addr,
-                fwd_->traps().delivered() != traps_before};
-      }
+      // The three ISA extensions touch the word itself without following
+      // forwarding.  The forwarding bit cannot be tested until the word
+      // is in the primary cache (Section 3.2), so even Read_FBit is a
+      // timed load-class access.
+      case RefKind::read_fbit:
+        return {mem_.fbit(a.addr) ? 1u : 0u, touchWord<E>(a, alu_acc), 0,
+                a.addr, false};
 
-      case RefKind::read_fbit: {
-        const bool bit = mem_.fbit(a.addr);
-        ++alu_acc;
-        return {bit ? 1u : 0u, cpu_->cycles(), 0, a.addr, false};
-      }
-
-      case RefKind::unforwarded_read: {
+      case RefKind::unforwarded_read:
         if (gate_ && gate_->enforcing())
             gate_->checkUnforwardedRead(a.addr, mem_);
-        const std::uint64_t value = mem_.rawReadWord(a.addr);
-        ++alu_acc;
-        return {value, cpu_->cycles(), 0, a.addr, false};
-      }
+        return {mem_.rawReadWord(a.addr), touchWord<E>(a, alu_acc), 0,
+                a.addr, false};
 
-      case RefKind::unforwarded_write: {
+      case RefKind::unforwarded_write:
         if (gate_ && gate_->enforcing())
             gate_->checkUnforwardedWrite(a.addr, a.value, a.fbit, mem_);
         mem_.unforwardedWrite(a.addr, a.value, a.fbit);
-        ++alu_acc;
-        return {a.value, cpu_->cycles(), 0, a.addr, false};
-      }
+        return {a.value, touchWord<E>(a, alu_acc), 0, a.addr, false};
 
       case RefKind::prefetch:
-        // Non-binding and timing-only: a no-op when timing is skipped.
-        ++alu_acc;
+        if constexpr (timed) {
+            // Prefetches are non-binding: they do not follow forwarding
+            // (a prefetch of a forwarded word harmlessly pulls in the
+            // forwarding word itself) and never block graduation.
+            const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
+            prefetcher_->issue(a.addr, static_cast<unsigned>(a.value),
+                               mi.issue);
+            cpu_->finishNonBlocking(mi);
+        } else {
+            ++alu_acc; // timing-only: a no-op when timing is skipped
+        }
         return {0, 0, 0, a.addr, false};
 
       case RefKind::compute:
-        alu_acc += a.value;
+        if constexpr (timed)
+            cpu_->alu(a.value);
+        else
+            alu_acc += a.value;
         return {0, 0, 0, 0, false};
     }
     memfwd_panic("bad RefKind %u", static_cast<unsigned>(a.kind));
 }
 
-AccessResult
-Machine::accessFast(const Access &a)
+template <Machine::Exec E>
+Cycles
+Machine::touchWord(const Access &a, std::uint64_t &alu_acc)
 {
-    std::uint64_t alu_acc = 0;
-    AccessResult r = accessFunctional(a, alu_acc);
-    cpu_->alu(alu_acc);
-    if (a.kind != RefKind::prefetch && a.kind != RefKind::compute)
-        r.ready = cpu_->cycles();
-    return r;
+    if constexpr (E == Exec::functional) {
+        ++alu_acc;
+        return cpu_->cycles();
+    } else {
+        const bool is_load = a.kind != RefKind::unforwarded_write;
+        const Addr word = wordAlign(a.addr);
+        const MemIssue mi = cpu_->issueMem(a.addr_ready, is_load);
+        const HierarchyResult r = hierarchy_->access(
+            word, is_load ? AccessType::load : AccessType::store, mi.issue);
+        const bool missed = r.l1 != MissKind::hit;
+        return is_load
+                   ? cpu_->finishLoad(mi, r.ready, 0, missed, word, word, 1)
+                   : cpu_->finishStore(mi, r.ready, 0, missed, word, word,
+                                       1);
+    }
 }
 
-AccessResult
-Machine::access(const Access &a)
-{
-    if (ff_active_)
-        return accessFast(a);
-    return tracer_.active() ? accessImpl<true>(a) : accessImpl<false>(a);
-}
-
-template <bool Traced>
+template <Machine::Exec E>
 void
 Machine::runRefs(MemRef *refs, std::size_t n)
 {
+    // Fast-forwarded ALU retirement is order-independent, so the whole
+    // batch's count retires in one Rob pass; per-reference `ready`
+    // cycles are not meaningful while timing is skipped (docs/API.md).
+    std::uint64_t alu_acc = 0;
     for (std::size_t i = 0; i < n; ++i) {
         MemRef &r = refs[i];
         if (r.dep >= 0) {
@@ -357,23 +280,31 @@ Machine::runRefs(MemRef *refs, std::size_t n)
             a.addr_ready = std::max(
                 a.addr_ready,
                 refs[static_cast<std::size_t>(r.dep)].res.ready);
-            r.res = accessImpl<Traced>(a);
+            r.res = step<E>(a, alu_acc);
         } else {
-            r.res = accessImpl<Traced>(r.acc);
+            r.res = step<E>(r.acc, alu_acc);
         }
     }
+    if constexpr (E == Exec::functional)
+        cpu_->alu(alu_acc);
 }
 
-void
-Machine::runRefsFast(MemRef *refs, std::size_t n)
+AccessResult
+Machine::access(const Access &a)
 {
-    // ALU retirement is order-independent, so the whole batch's count
-    // retires in one Rob pass; per-reference `ready` cycles are not
-    // meaningful while timing is skipped (docs/API.md).
+    const bool ff = ff_active_;
     std::uint64_t alu_acc = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        refs[i].res = accessFunctional(refs[i].acc, alu_acc);
-    cpu_->alu(alu_acc);
+    AccessResult r = ff                 ? step<Exec::functional>(a, alu_acc)
+                     : tracer_.active() ? step<Exec::traced>(a, alu_acc)
+                                        : step<Exec::timed>(a, alu_acc);
+    if (ff) {
+        // A lone fast-forwarded reference retires at once and reports
+        // the cycle after its own retirement.
+        cpu_->alu(alu_acc);
+        if (a.kind != RefKind::prefetch && a.kind != RefKind::compute)
+            r.ready = cpu_->cycles();
+    }
+    return r;
 }
 
 void
@@ -384,11 +315,11 @@ Machine::run(AccessBatch &batch)
     MemRef *refs = batch.data();
     const std::size_t n = batch.size();
     if (ff_active_)
-        runRefsFast(refs, n);
+        runRefs<Exec::functional>(refs, n);
     else if (tracer_.active())
-        runRefs<true>(refs, n);
+        runRefs<Exec::traced>(refs, n);
     else
-        runRefs<false>(refs, n);
+        runRefs<Exec::timed>(refs, n);
 }
 
 void
@@ -403,30 +334,28 @@ Machine::run(RefStream &stream)
     }
 }
 
-std::uint64_t
-Machine::peek(Addr addr, unsigned size) const
+Addr
+Machine::chainTail(Addr addr) const
 {
     Addr word = wordAlign(addr);
-    const unsigned offset = wordOffset(addr);
     unsigned guard = 0;
     while (mem_.fbit(word)) {
         word = wordAlign(mem_.rawReadWord(word));
-        memfwd_assert(++guard < 1u << 20, "peek: runaway forwarding chain");
+        memfwd_assert(++guard < 1u << 20, "runaway forwarding chain");
     }
-    return mem_.readBytes(word + offset, size);
+    return word + wordOffset(addr);
+}
+
+std::uint64_t
+Machine::peek(Addr addr, unsigned size) const
+{
+    return mem_.readBytes(chainTail(addr), size);
 }
 
 void
 Machine::poke(Addr addr, unsigned size, std::uint64_t value)
 {
-    Addr word = wordAlign(addr);
-    const unsigned offset = wordOffset(addr);
-    unsigned guard = 0;
-    while (mem_.fbit(word)) {
-        word = wordAlign(mem_.rawReadWord(word));
-        memfwd_assert(++guard < 1u << 20, "poke: runaway forwarding chain");
-    }
-    mem_.writeBytes(word + offset, size, value);
+    mem_.writeBytes(chainTail(addr), size, value);
 }
 
 obs::MetricsNode

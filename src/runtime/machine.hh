@@ -497,8 +497,8 @@ class Machine
     // The seven legacy per-kind entry points (load/store/readFBit/
     // unforwardedRead/unforwardedWrite/prefetch/compute) were removed
     // after their deprecation release; access() with the Access named
-    // constructors is the one entry point.  Out-of-tree callers migrate
-    // mechanically with scripts/migrate_access_api.py (docs/API.md).
+    // constructors is the one entry point.  docs/API.md has the
+    // migration table.
 
     // ----- untimed (debug/test) access ---------------------------------
 
@@ -623,23 +623,38 @@ class Machine
     /** TLB lookup applied to a reference's final address. */
     Cycles translate(Addr addr, Cycles now);
 
-    /** Timed execution of one reference; Traced hoists the tracer test. */
-    template <bool Traced> AccessResult accessImpl(const Access &a);
+    /** How the access kernel executes: fast-forward, timed, traced. */
+    enum class Exec
+    {
+        functional, ///< forwarding semantics only; ALU retirement batched
+        timed,      ///< full cache/CPU timing
+        traced      ///< timed, emitting per-reference trace events
+    };
 
     /**
-     * Functional (fast-forward) execution of one reference.  ALU
-     * retirement is accumulated into @p alu_acc instead of hitting the
-     * Rob per reference — pure-ALU retirement is order-independent, so
-     * a batch may retire its whole count in one aluBurst() with
-     * bit-identical cycle results.
+     * The one per-reference access kernel behind access() and run().
+     * Functional execution accumulates each reference's ALU retirement
+     * into @p alu_acc instead of hitting the Rob per reference —
+     * pure-ALU retirement is order-independent, so a batch may retire
+     * its whole count in one aluBurst() with bit-identical cycles.
      */
-    AccessResult accessFunctional(const Access &a, std::uint64_t &alu_acc);
+    template <Exec E>
+    AccessResult step(const Access &a, std::uint64_t &alu_acc);
 
-    /** accessFunctional() + immediate ALU retirement (per-call path). */
-    AccessResult accessFast(const Access &a);
+    /** step() for an ordinary load or store, which follows forwarding. */
+    template <Exec E>
+    AccessResult reference(const Access &a, bool is_load,
+                           std::uint64_t &alu_acc);
 
-    template <bool Traced> void runRefs(MemRef *refs, std::size_t n);
-    void runRefsFast(MemRef *refs, std::size_t n);
+    /** Timing of an ISA-extension access to the word itself. */
+    template <Exec E>
+    Cycles touchWord(const Access &a, std::uint64_t &alu_acc);
+
+    /** The batch loop: drain @p n refs through step<E>(). */
+    template <Exec E> void runRefs(MemRef *refs, std::size_t n);
+
+    /** Where @p addr lands after following its chain (peek/poke). */
+    Addr chainTail(Addr addr) const;
 
     bool
     regionFastForwarded(std::string_view name) const

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/stats_registry.hh"
+#include "core/cycle_check.hh"
 #include "runtime/machine.hh"
 
 namespace memfwd
@@ -151,6 +152,90 @@ TEST(Machine, DependentAccessesRespectAddrReady)
     EXPECT_EQ(v.value, 7u);
     EXPECT_GT(v.ready, p.ready);
 }
+
+// ---------------------------------------------------------------------
+// Fast-forward is a transformation of the timed program: on a chain
+// that outlasts the exception-mode handler (default limits: 16 hops x
+// (8 retries + 1) = 144 < 200), both paths must give up at the same
+// hop and apply the same cycle policy.
+// ---------------------------------------------------------------------
+
+/** What two loads through one long exception-mode chain observed. */
+struct LongChainOutcome
+{
+    bool threw = false;
+    AccessResult first{};
+    AccessResult again{};
+    Addr pin = 0;
+    std::uint64_t traps = 0;
+    std::uint64_t handler_retries = 0;
+    std::uint64_t quarantine_hits = 0;
+};
+
+LongChainOutcome
+loadThroughLongChain(const MachineConfig &cfg)
+{
+    Machine m(cfg);
+    for (unsigned i = 0; i < 200; ++i) {
+        m.forwarding().forwardWord(0x10000 + Addr(i) * 0x100,
+                                   0x10000 + Addr(i + 1) * 0x100);
+    }
+    m.poke(0x10000, 8, 0x5eed); // lands at the chain's tail
+    m.forwarding().traps().install(
+        [](const TrapInfo &) { return TrapAction::resume; });
+
+    LongChainOutcome out;
+    try {
+        out.first = m.access(Access::load(0x10000, 8));
+        out.again = m.access(Access::load(0x10000, 8));
+    } catch (const ForwardingCycleError &) {
+        out.threw = true;
+    }
+    out.pin = m.forwarding().quarantinePin(0x10000);
+    out.traps = m.forwarding().traps().delivered();
+    out.handler_retries = m.forwarding().stats().handler_retries;
+    out.quarantine_hits = m.forwarding().stats().quarantine_hits;
+    return out;
+}
+
+class LongChainParity : public ::testing::TestWithParam<CyclePolicy>
+{
+};
+
+TEST_P(LongChainParity, FastForwardMatchesTimed)
+{
+    const MachineConfig timed_cfg =
+        MachineConfig{}
+            .forwardingMode(MachineConfig::Mode::exception)
+            .cyclePolicy(GetParam());
+    const LongChainOutcome timed = loadThroughLongChain(timed_cfg);
+    const LongChainOutcome ff =
+        loadThroughLongChain(MachineConfig(timed_cfg).fastForward());
+
+    EXPECT_EQ(timed.threw, GetParam() == CyclePolicy::abort);
+    EXPECT_EQ(ff.threw, timed.threw);
+    EXPECT_EQ(ff.first.value, timed.first.value);
+    EXPECT_EQ(ff.first.final_addr, timed.first.final_addr);
+    EXPECT_EQ(ff.first.trapped, timed.first.trapped);
+    EXPECT_EQ(ff.again.final_addr, timed.again.final_addr);
+    EXPECT_EQ(ff.pin, timed.pin);
+    EXPECT_EQ(ff.traps, timed.traps);
+    EXPECT_EQ(ff.handler_retries, timed.handler_retries);
+    EXPECT_EQ(ff.quarantine_hits, timed.quarantine_hits);
+    if (!timed.threw) {
+        // Pinned at hop 153, short of the tail at hop 200.
+        EXPECT_EQ(timed.pin, 0x10000u + 153 * 0x100);
+        EXPECT_NE(timed.first.value, 0x5eedu);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, LongChainParity,
+    ::testing::Values(CyclePolicy::abort, CyclePolicy::trap,
+                      CyclePolicy::quarantine),
+    [](const ::testing::TestParamInfo<CyclePolicy> &info) {
+        return std::string(cyclePolicyName(info.param));
+    });
 
 } // namespace
 } // namespace memfwd

@@ -136,6 +136,8 @@ struct Outcome
     std::uint64_t refs = 0;
     std::uint64_t loads_forwarded = 0;
     std::uint64_t stores_forwarded = 0;
+    /** Loads that landed away from their initial address. */
+    std::uint64_t redirected_loads = 0;
     /** (site, initial, final) per delivered trap, in order. */
     std::vector<std::uint64_t> traps;
     /** Loaded values, final addresses, fbits — the architectural log. */
@@ -182,6 +184,7 @@ runProgram(Machine &m, Ops &ops)
             const AccessResult r = ops.load(addr, SiteId(op));
             out.log.push_back(r.value);
             out.log.push_back(r.final_addr);
+            out.redirected_loads += r.final_addr != addr ? 1 : 0;
         } else if (pick < 70) {
             ops.store(addr, rng.next(), SiteId(op));
         } else if (pick < 80) {
@@ -248,7 +251,12 @@ TEST_P(BatchInvariance, AnyCapacityMatchesPerCallExactly)
     const Outcome per_call = runPerCall(cfg);
 
     // The program must actually exercise forwarding inside batches.
-    EXPECT_GT(per_call.loads_forwarded + per_call.stores_forwarded, 0u);
+    // Perfect mode reports no reference as forwarded, so the witness is
+    // loads that landed away from their initial address.
+    EXPECT_GT(per_call.redirected_loads, 0u);
+    if (GetParam() != MachineConfig::Mode::perfect) {
+        EXPECT_GT(per_call.loads_forwarded + per_call.stores_forwarded, 0u);
+    }
 
     for (std::size_t cap : {std::size_t(1), std::size_t(3),
                             std::size_t(7), std::size_t(256)}) {
@@ -280,10 +288,17 @@ TEST_P(BatchInvariance, FastForwardKeepsArchitecturalLog)
 INSTANTIATE_TEST_SUITE_P(
     Modes, BatchInvariance,
     ::testing::Values(MachineConfig::Mode::hardware,
-                      MachineConfig::Mode::exception),
+                      MachineConfig::Mode::exception,
+                      MachineConfig::Mode::perfect),
     [](const ::testing::TestParamInfo<MachineConfig::Mode> &info) {
-        return info.param == MachineConfig::Mode::exception ? "exception"
-                                                            : "hardware";
+        switch (info.param) {
+          case MachineConfig::Mode::exception:
+            return "exception";
+          case MachineConfig::Mode::perfect:
+            return "perfect";
+          default:
+            return "hardware";
+        }
     });
 
 // ---------------------------------------------------------------------
