@@ -37,32 +37,27 @@ SimAllocator::rangeFree(Addr start, Addr bytes) const
 {
     if (start < base_ || start + bytes > base_ + span_)
         return false;
-    // Check the first block starting at or after `start`, and the block
-    // preceding it, for overlap.
-    auto it = blocks_.lower_bound(start);
-    if (it != blocks_.end() && it->first < start + bytes)
-        return false;
-    if (it != blocks_.begin()) {
-        --it;
-        if (it->second > start)
-            return false;
-    }
-    return true;
+    // Blocks are disjoint, so only the last block starting inside the
+    // range's end can reach into it.
+    const BlockIndex::Pos p = blocks_.floor(start + bytes - 1);
+    return p == blocks_.end() || blocks_.end(p) <= start;
 }
 
 Addr
 SimAllocator::place(Addr bytes, Placement placement, Addr align)
 {
-    if (placement == Placement::scattered) {
+    // A request of the whole arena or more has no room to probe in.
+    if (placement == Placement::scattered && bytes < span_) {
         // Pseudo-random placement across the arena: this stands in for
         // the allocation interleaving and heap churn that scatter real
         // applications' nodes.  With span >> live bytes the first
         // probes almost always succeed.
         for (int attempt = 0; attempt < 64; ++attempt) {
+            // Align absolutely, not relative to the arena base.
             Addr candidate =
-                base_ + (rng_.below(span_ - bytes) & ~(align - 1));
+                (base_ + rng_.below(span_ - bytes)) & ~(align - 1);
             if (candidate < base_)
-                candidate = base_;
+                candidate += align;
             if (rangeFree(candidate, bytes))
                 return candidate;
         }
@@ -71,15 +66,15 @@ SimAllocator::place(Addr bytes, Placement placement, Addr align)
     }
     if (placement == Placement::first_fit) {
         // Lowest hole that fits: walk the live blocks in address order
-        // tracking the gap before each.  Host-side cost is O(live
-        // blocks); the simulated cost stays the flat alloc charge.
+        // tracking the gap before each.
         Addr candidate = (base_ + align - 1) & ~(align - 1);
-        for (const auto &[start, end] : blocks_) {
+        blocks_.scan([&](Addr start, Addr end) {
             if (candidate + bytes <= start)
-                break;
+                return false;
             if (end > candidate)
                 candidate = (end + align - 1) & ~(align - 1);
-        }
+            return true;
+        });
         if (candidate + bytes > base_ + span_)
             throw AllocFailure(bytes, "simulated heap exhausted");
         bump_ = std::max(bump_, candidate + bytes - base_);
@@ -94,11 +89,12 @@ SimAllocator::place(Addr bytes, Placement placement, Addr align)
             throw AllocFailure(bytes, "simulated heap exhausted");
         if (rangeFree(candidate, bytes))
             break;
-        // Skip past the colliding block.
-        auto it = blocks_.upper_bound(candidate);
-        if (it != blocks_.begin())
-            --it;
-        candidate = std::max(candidate + align, it->second);
+        // Skip past the block at or below the candidate, or past the
+        // first block when none starts that low (it is the collision).
+        BlockIndex::Pos p = blocks_.floor(candidate);
+        if (p == blocks_.end())
+            p = blocks_.begin();
+        candidate = std::max(candidate + align, blocks_.end(p));
     }
     bump_ = candidate + bytes - base_;
     return candidate;
@@ -120,7 +116,7 @@ SimAllocator::alloc(Addr bytes, Placement placement, Addr align)
     }
 
     const Addr addr = place(bytes, placement, align);
-    blocks_.emplace(addr, addr + bytes);
+    blocks_.insert(addr, addr + bytes);
 
     // The OS guarantees clear forwarding bits on fresh memory
     // (Section 3.3); the sweep is functional, the allocator's own work
@@ -138,14 +134,14 @@ SimAllocator::alloc(Addr bytes, Placement placement, Addr align)
 bool
 SimAllocator::isAllocated(Addr addr) const
 {
-    return blocks_.count(addr) != 0;
+    return blocks_.find(addr) != blocks_.end();
 }
 
 Addr
 SimAllocator::allocationSize(Addr addr) const
 {
-    auto it = blocks_.find(addr);
-    return it == blocks_.end() ? 0 : it->second - it->first;
+    const BlockIndex::Pos p = blocks_.find(addr);
+    return p == blocks_.end() ? 0 : blocks_.end(p) - addr;
 }
 
 void
@@ -162,19 +158,19 @@ SimAllocator::free(Addr addr)
     ScopedUnforwardedAnnotation walk_ok(machine_.analysisGate());
     while ((machine_.access(Access::readFBit(cur)).value != 0)) {
         cur = wordAlign(machine_.access(Access::unforwardedRead(cur)).value);
-        if (auto it = blocks_.find(cur); it != blocks_.end()) {
-            bytes_live_ -= it->second - it->first;
-            blocks_.erase(it);
+        if (const BlockIndex::Pos p = blocks_.find(cur); p != blocks_.end()) {
+            bytes_live_ -= blocks_.end(p) - cur;
+            blocks_.erase(p);
         }
         memfwd_assert(++guard < 1u << 20, "free(): runaway chain");
     }
 
-    auto it = blocks_.find(addr);
-    memfwd_assert(it != blocks_.end(),
+    const BlockIndex::Pos p = blocks_.find(addr);
+    memfwd_assert(p != blocks_.end(),
                   "free() of unallocated address %#llx",
                   static_cast<unsigned long long>(addr));
-    bytes_live_ -= it->second - it->first;
-    blocks_.erase(it);
+    bytes_live_ -= blocks_.end(p) - addr;
+    blocks_.erase(p);
 
     machine_.access(Access::compute(alloc_compute_cost));
     ++free_calls_;

@@ -28,12 +28,11 @@
 #define MEMFWD_RUNTIME_SIM_ALLOCATOR_HH
 
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 
-#include "common/arena.hh"
 #include "common/random.hh"
 #include "common/types.hh"
+#include "runtime/block_index.hh"
 
 namespace memfwd
 {
@@ -71,12 +70,23 @@ enum class Placement
     /**
      * Lowest hole that fits, scanning live blocks from the arena base.
      * This is the compacting placement: relocating a high block into a
-     * first-fit hole shrinks the live extent of the heap.
+     * first-fit hole shrinks the live extent of the heap.  The host
+     * cost is one in-order pass over the block index's leaves up to
+     * the hole; the simulated cost is the flat alloc charge.
      */
     first_fit
 };
 
-/** Word-aligned allocator over a Machine's simulated heap. */
+/**
+ * Word-aligned allocator over a Machine's simulated heap.
+ *
+ * The live blocks sit in one BlockIndex.  A scattered probe, a
+ * sequential collision check, free() of each chain target and
+ * isAllocated() are each one two-level search of it, O(log blocks);
+ * first-fit is a contiguous scan.  None of this host bookkeeping is
+ * simulated: alloc() and free() charge a flat compute cost, plus the
+ * timed chain walk in free().
+ */
 class SimAllocator
 {
   public:
@@ -137,7 +147,7 @@ class SimAllocator
     Addr
     highestLiveEnd() const
     {
-        return blocks_.empty() ? base_ : blocks_.rbegin()->second;
+        return blocks_.empty() ? base_ : blocks_.lastEnd();
     }
 
   private:
@@ -150,18 +160,10 @@ class SimAllocator
     Rng rng_;
 
     /**
-     * Backing store for the block map's tree nodes: one node per live
-     * simulated object, so pooling them kills the per-simulated-malloc
-     * host malloc and keeps the tree dense in host memory.  Declared
-     * before blocks_ so the map is destroyed first.
+     * [start, end) of every live block, relocation pools included.
+     * Every placement probe, free and size query is a search here.
      */
-    ArenaPool node_pool_;
-
-    using BlockMap = std::map<Addr, Addr, std::less<Addr>,
-                              PoolAllocator<std::pair<const Addr, Addr>>>;
-
-    /** start -> end of every live block, ordered by start. */
-    BlockMap blocks_{PoolAllocator<std::pair<const Addr, Addr>>(node_pool_)};
+    BlockIndex blocks_;
 
     Addr bump_ = 0;
     Addr bytes_live_ = 0;

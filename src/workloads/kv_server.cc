@@ -250,21 +250,23 @@ KvServer::run(Machine &machine, const WorkloadVariant &variant)
     // first-fit holes.  Refs stay valid — forwarding leaves chains
     // behind them (later gets pay hops), handles rewrites table slots.
     auto compactEpoch = [&]() {
-        std::vector<const Session *> live;
+        // (header address, session): the addresses of live sessions
+        // are distinct, so the top batch and its order are unique.
+        std::vector<std::pair<Addr, const Session *>> live;
         for (const auto &[key, gen] : fifo) {
             const auto it = directory.find(key);
             if (it != directory.end() && it->second.gen == gen)
-                live.push_back(&it->second);
+                live.emplace_back(backend->peekAddr(it->second.header),
+                                  &it->second);
         }
-        std::sort(live.begin(), live.end(),
-                  [&](const Session *a, const Session *b) {
-                      return backend->peekAddr(a->header) >
-                             backend->peekAddr(b->header);
-                  });
-        if (live.size() > compact_batch)
-            live.resize(compact_batch);
+        const std::size_t batch = std::min(live.size(), compact_batch);
+        std::partial_sort(live.begin(), live.begin() + batch, live.end(),
+                          [](const auto &a, const auto &b) {
+                              return a.first > b.first;
+                          });
+        live.resize(batch);
         em.flush();
-        for (const Session *s : live) {
+        for (const auto &[addr, s] : live) {
             for (const BackendRef b : s->blocks) {
                 if (backend->compactObject(b))
                     ++kv_.compacted_objects;
