@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "workloads/vis_tunables.hh"
 
 using namespace memfwd;
 using namespace memfwd::bench;
@@ -31,12 +30,12 @@ main()
                 withCommas(n.cycles).c_str(), 1.0, "0");
 
     for (unsigned threshold : {5u, 15u, 30u, 50u, 100u, 200u, 400u}) {
-        setVisLinearizeThreshold(threshold);
         RunConfig cfg;
         cfg.workload = "vis";
         cfg.params.scale = benchScale();
         cfg.machine = machineAt(64);
         cfg.variant.layout_opt = true;
+        cfg.variant.linearize_threshold = threshold;
         const RunResult l = runCase(
             "vis/64B/L/thresh" + std::to_string(threshold), cfg);
         std::printf("%-12u %14s %8.2fx %13.1fMB\n", threshold,
@@ -48,7 +47,6 @@ main()
             return 1;
         }
     }
-    setVisLinearizeThreshold(50);
 
     std::printf("\ntakeaway: a broad plateau around the paper's 50 — "
                 "the optimization is robust to the trigger choice, "

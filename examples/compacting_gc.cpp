@@ -77,7 +77,8 @@ main()
     mc.hierarchy.setLineBytes(128);
     Machine m(mc);
     SimAllocator alloc(m);
-    CompactingHeap heap(m, alloc, 1 << 20);
+    ForwardingBackend backend(m);
+    CompactingHeap heap(backend, alloc, 1 << 20);
 
     const Addr root_slot = alloc.alloc(8);
     const Addr root = buildTree(m, heap, 10, 1); // 2047 nodes + garbage

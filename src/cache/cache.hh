@@ -124,15 +124,6 @@ class Cache : public MemLevel
     /** Add this cache's counters/gauges to @p into (obs layer). */
     void fillMetrics(obs::MetricsNode &into) const;
 
-    /** This cache's metrics as a standalone tree. */
-    obs::MetricsNode
-    metrics() const
-    {
-        obs::MetricsNode n;
-        fillMetrics(n);
-        return n;
-    }
-
     /** Zero the statistics (contents and LRU state are preserved). */
     void clearStats() { stats_ = CacheStats(); }
 

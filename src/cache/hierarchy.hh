@@ -83,18 +83,10 @@ class MemoryHierarchy
 
     /**
      * Add the hierarchy's metrics to @p into: children "l1d" and "l2"
-     * (per-cache counters) and "traffic" (per-link bytes).  Filling the
-     * machine root keeps the legacy flat names intact.
+     * (per-cache counters) and "traffic" (per-link bytes).  The Machine
+     * passes its root, so these are top-level paths ("l1d.load_hits").
      */
     void fillMetrics(obs::MetricsNode &into) const;
-
-    obs::MetricsNode
-    metrics() const
-    {
-        obs::MetricsNode n;
-        fillMetrics(n);
-        return n;
-    }
 
     /** Zero all statistics; cache contents are preserved. */
     void clearStats();

@@ -65,14 +65,6 @@ class Prefetcher
         into.counter("issued", issued_);
     }
 
-    obs::MetricsNode
-    metrics() const
-    {
-        obs::MetricsNode n;
-        fillMetrics(n);
-        return n;
-    }
-
     void
     clearStats()
     {

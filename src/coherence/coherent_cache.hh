@@ -88,14 +88,6 @@ class CoherentCache
         into.counter("coherence_events", stats_.coherenceEvents());
     }
 
-    obs::MetricsNode
-    metrics() const
-    {
-        obs::MetricsNode n;
-        fillMetrics(n);
-        return n;
-    }
-
     unsigned lineBytes() const { return line_bytes_; }
     Addr lineAlign(Addr a) const { return a & ~Addr(line_bytes_ - 1); }
 

@@ -72,14 +72,6 @@ class SnoopBus
         into.counter("transfers", stats_.transfers);
     }
 
-    obs::MetricsNode
-    metrics() const
-    {
-        obs::MetricsNode n;
-        fillMetrics(n);
-        return n;
-    }
-
     unsigned ports() const { return static_cast<unsigned>(caches_.size()); }
 
   private:

@@ -414,14 +414,6 @@ class ForwardingEngine : public FwdStateListener
     /** Add the engine's counters + hop-count distribution to @p into. */
     void fillMetrics(obs::MetricsNode &into) const;
 
-    obs::MetricsNode
-    metrics() const
-    {
-        obs::MetricsNode n;
-        fillMetrics(n);
-        return n;
-    }
-
     void clearStats() { stats_ = ForwardingStats(); }
 
   private:

@@ -114,17 +114,10 @@ class OooCpu
     /**
      * Add the CPU's metrics to @p into: cycles/instructions at the node
      * itself plus "slots", "lsq" and "latency" children.  The Machine
-     * passes its root node so the legacy flat names stay intact.
+     * passes its root node, so these are top-level paths ("cycles",
+     * "slots.busy").
      */
     void fillMetrics(obs::MetricsNode &into) const;
-
-    obs::MetricsNode
-    metrics() const
-    {
-        obs::MetricsNode n;
-        fillMetrics(n);
-        return n;
-    }
 
   private:
     Cycles arbitratePort(Cycles want);

@@ -69,14 +69,6 @@ class Tlb
         into.gauge("miss_rate", missRate());
     }
 
-    obs::MetricsNode
-    metrics() const
-    {
-        obs::MetricsNode n;
-        fillMetrics(n);
-        return n;
-    }
-
     void
     clearStats()
     {

@@ -1,7 +1,5 @@
 #include "obs/metrics.hh"
 
-#include "common/stats_registry.hh"
-
 namespace memfwd::obs
 {
 
@@ -97,19 +95,35 @@ MetricsNode::clear()
     children_.clear();
 }
 
-void
-MetricsNode::flatten(StatsRegistry &reg, const std::string &prefix) const
+namespace
 {
-    for (const auto &[name, value] : counters_)
-        reg.set(prefix + name, value);
-    for (const auto &[name, d] : dists_) {
-        reg.set(prefix + name + ".count", d.count);
-        reg.set(prefix + name + ".sum", d.sum);
-        reg.set(prefix + name + ".min", d.min);
-        reg.set(prefix + name + ".max", d.max);
+
+/** The integer leaves of @p node's subtree under their dotted names. */
+void
+collectLeaves(const MetricsNode &node, const std::string &prefix,
+              std::map<std::string, std::uint64_t> &out)
+{
+    for (const auto &[name, value] : node.counters())
+        out[prefix + name] = value;
+    for (const auto &[name, d] : node.distributions()) {
+        out[prefix + name + ".count"] = d.count;
+        out[prefix + name + ".sum"] = d.sum;
+        out[prefix + name + ".min"] = d.min;
+        out[prefix + name + ".max"] = d.max;
     }
-    for (const auto &[name, node] : children_)
-        node.flatten(reg, prefix + name + ".");
+    for (const auto &[name, child] : node.children())
+        collectLeaves(child, prefix + name + ".", out);
+}
+
+} // namespace
+
+void
+MetricsNode::dump(std::ostream &os, const std::string &prefix) const
+{
+    std::map<std::string, std::uint64_t> leaves;
+    collectLeaves(*this, prefix, leaves);
+    for (const auto &[name, value] : leaves)
+        os << name << " = " << value << "\n";
 }
 
 Json

@@ -1,15 +1,14 @@
 /**
  * @file
- * Hierarchical metrics: the successor to the flat StatsRegistry.
+ * Hierarchical metrics: the one export path for every counter.
  *
- * Every observable component exposes `metrics()` returning a
- * MetricsNode — a tree of named counters (64-bit, monotonic within a
+ * Every observable component exports through `fillMetrics(node)` into
+ * a MetricsNode — a tree of named counters (64-bit, monotonic within a
  * run), gauges (derived ratios/averages) and distributions (hop
  * counts, chain lengths, trap latencies).  The Machine composes its
- * components' trees into one machine tree whose *flattened* dotted
- * names are exactly the names the pre-observability flat registry
- * used ("l1d.load_hits", "fwd.walks", ...) — flatten() is the
- * supported path to a StatsRegistry.
+ * components' trees into one machine tree whose dotted paths
+ * ("l1d.load_hits", "fwd.walks", ...) are stable names; dump() prints
+ * them as text.
  *
  * The JSON export is versioned; docs/METRICS.md documents the schema
  * and the name-stability policy.
@@ -20,15 +19,11 @@
 
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "obs/json.hh"
-
-namespace memfwd
-{
-class StatsRegistry;
-}
 
 namespace memfwd::obs
 {
@@ -114,12 +109,12 @@ class MetricsNode
     // ----- export ------------------------------------------------------
 
     /**
-     * Flatten into the legacy flat registry: counters keep their name,
+     * Print one `prefix + dotted.path = value` line per counter, sorted
+     * by full name across the whole subtree: counters keep their name,
      * children prepend "<child>.", distributions contribute
-     * ".count/.sum/.min/.max".  Gauges are not representable in the
-     * integer registry and are skipped.
+     * ".count/.sum/.min/.max".  Gauges are not integers and are skipped.
      */
-    void flatten(StatsRegistry &reg, const std::string &prefix = "") const;
+    void dump(std::ostream &os, const std::string &prefix = "") const;
 
     /** This node (and subtree) as a JSON object. */
     Json toJson() const;

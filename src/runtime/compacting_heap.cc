@@ -8,29 +8,13 @@
 namespace memfwd
 {
 
-CompactingHeap::CompactingHeap(Machine &machine, SimAllocator &alloc,
-                               Addr semispace_bytes)
-    : machine_(machine),
-      owned_backend_(std::make_unique<ForwardingBackend>(machine)),
-      backend_(owned_backend_.get()),
-      semispace_bytes_(roundUpToWord(semispace_bytes))
-{
-    memfwd_assert(semispace_bytes_ >= 64,
-                  "semispace too small to be useful");
-    space_a_ = alloc.alloc(semispace_bytes_);
-    space_b_ = alloc.alloc(semispace_bytes_);
-    active_base_ = space_a_;
-    cursor_ = active_base_;
-}
-
 CompactingHeap::CompactingHeap(LayoutBackend &backend, SimAllocator &alloc,
                                Addr semispace_bytes)
     : machine_(backend.machine()),
-      backend_(&backend),
+      backend_(backend),
       semispace_bytes_(roundUpToWord(semispace_bytes))
 {
-    if (!backend.canRelocate() || !backend.stalePointersSafe() ||
-        backend.kind() == BackendKind::handles) {
+    if (!backend.canRelocate() || !backend.stalePointersSafe()) {
         memfwd_fatal("CompactingHeap requires a backend with "
                      "stale-pointer-safe raw-range relocation "
                      "(got '%s')", backendKindName(backend.kind()));
@@ -113,7 +97,7 @@ CompactingHeap::copyObject(Addr base, Addr &to_cursor)
     plan.assume(AliasAssumption::stale_pointers_possible)
         .move(base, new_base, payload_words + 1);
     PlanScope scope(machine_.analysisGate(), plan);
-    backend_->relocate(base, new_base, payload_words + 1);
+    backend_.relocate(base, new_base, payload_words + 1);
 
     ++gc_stats_.objects_copied;
     gc_stats_.words_copied += payload_words + 1;

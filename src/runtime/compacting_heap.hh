@@ -28,7 +28,6 @@
 #define MEMFWD_RUNTIME_COMPACTING_HEAP_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -58,14 +57,7 @@ class CompactingHeap
 
     /**
      * Carve two semispaces of @p semispace_bytes each out of
-     * @p alloc's arena, moving objects through an internal
-     * ForwardingBackend.
-     */
-    CompactingHeap(Machine &machine, SimAllocator &alloc,
-                   Addr semispace_bytes);
-
-    /**
-     * As above, but as a client of an existing @p backend.  The
+     * @p alloc's arena, moving objects through @p backend.  The
      * collector's forwarding pointers ARE the relocation mechanism, so
      * the backend must support raw-range relocation with stale-pointer
      * safety — i.e. only a ForwardingBackend qualifies (fatal
@@ -119,10 +111,7 @@ class CompactingHeap
     Addr copyObject(Addr base, Addr &to_cursor);
 
     Machine &machine_;
-
-    /** Backend the copies go through (owned when self-constructed). */
-    std::unique_ptr<ForwardingBackend> owned_backend_;
-    LayoutBackend *backend_;
+    LayoutBackend &backend_;
 
     Addr semispace_bytes_;
     Addr space_a_;

@@ -21,8 +21,8 @@
  *
  * The audit is purely functional — no timing, no cache effects — and
  * is meant to run between phases or after a workload, the way a fsck
- * runs on an unmounted filesystem.  Counters export through metrics()
- * (flatten it for a legacy-style registry of "audit.*" names).
+ * runs on an unmounted filesystem.  Counters export through fillMetrics()
+ * (memfwd_sim folds them into the machine tree's "audit" child).
  */
 
 #ifndef MEMFWD_RUNTIME_HEAP_VERIFIER_HH

@@ -47,16 +47,19 @@ LayoutBackend::~LayoutBackend()
 }
 
 void
-LayoutBackend::fillMetrics(obs::MetricsNode &into) const
+LayoutBackendStats::fillMetrics(obs::MetricsNode &into) const
 {
-    into.counter("allocs", stats_.allocs);
-    into.counter("frees", stats_.frees);
-    into.counter("relocations", stats_.relocations);
-    into.counter("refusals", stats_.refusals);
-    into.counter("relocated_words", stats_.relocated_words);
-    into.counter("resolves", stats_.resolves);
-    into.counter("handle_derefs", stats_.handle_derefs);
-    into.counter("compactions", stats_.compactions);
+    into.counter("allocs", allocs);
+    into.counter("frees", frees);
+    into.counter("relocations", relocations);
+    into.counter("refusals", refusals);
+    into.counter("relocated_words", relocated_words);
+    into.counter("resolves", resolves);
+    into.counter("handle_derefs", handle_derefs);
+    into.counter("compactions", compactions);
+    if (resolves)
+        into.gauge("derefs_per_resolve",
+                   double(handle_derefs) / double(resolves));
 }
 
 // ---------------------------------------------------------------------

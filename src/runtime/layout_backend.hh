@@ -87,6 +87,13 @@ struct LayoutBackendStats
     std::uint64_t handle_derefs = 0;
     /** compactObject() calls that moved an object. */
     std::uint64_t compactions = 0;
+
+    /**
+     * Export the counters and the derefs_per_resolve gauge into
+     * @p into (the machine tree's "backend" child), for a live backend
+     * and a detached snapshot alike.
+     */
+    void fillMetrics(obs::MetricsNode &into) const;
 };
 
 /** Common interface of the three layout backends. */
@@ -168,9 +175,6 @@ class LayoutBackend
     Machine &machine() { return machine_; }
 
     const LayoutBackendStats &stats() const { return stats_; }
-
-    /** Export the mediation counters (nested under "backend"). */
-    void fillMetrics(obs::MetricsNode &into) const;
 
   protected:
     Machine &machine_;

@@ -322,18 +322,6 @@ Machine::run(AccessBatch &batch)
         runRefs<Exec::timed>(refs, n);
 }
 
-void
-Machine::run(RefStream &stream)
-{
-    AccessBatch batch;
-    for (;;) {
-        batch.clear();
-        if (!stream.fill(batch))
-            break;
-        run(batch);
-    }
-}
-
 Addr
 Machine::chainTail(Addr addr) const
 {
@@ -363,9 +351,8 @@ Machine::metrics() const
 {
     obs::MetricsNode root;
 
-    // The CPU and hierarchy fill the machine root directly so the
-    // legacy flat names ("cycles", "slots.busy", "l1d.load_hits", ...)
-    // fall out of flatten() unchanged.
+    // The CPU and hierarchy fill the machine root directly, so their
+    // paths are top-level ("cycles", "slots.busy", "l1d.load_hits").
     cpu_->fillMetrics(root);
     hierarchy_->fillMetrics(root);
     fwd_->fillMetrics(root.child("fwd"));
@@ -392,18 +379,7 @@ Machine::metrics() const
     if (backendSeen()) {
         auto &b = root.child("backend");
         b.gauge("kind", static_cast<double>(backendKindSeen()));
-        const LayoutBackendStats bs = backendStats();
-        b.counter("allocs", bs.allocs);
-        b.counter("frees", bs.frees);
-        b.counter("relocations", bs.relocations);
-        b.counter("refusals", bs.refusals);
-        b.counter("relocated_words", bs.relocated_words);
-        b.counter("resolves", bs.resolves);
-        b.counter("handle_derefs", bs.handle_derefs);
-        b.counter("compactions", bs.compactions);
-        if (bs.resolves)
-            b.gauge("derefs_per_resolve",
-                    double(bs.handle_derefs) / double(bs.resolves));
+        backendStats().fillMetrics(b);
     }
 
     if (cfg_.metadata_plane || quarantine_) {

@@ -446,7 +446,6 @@ struct AccessResult
 };
 
 class AccessBatch;
-class RefStream;
 struct MemRef;
 
 /** One simulated CPU + forwarding memory system. */
@@ -474,9 +473,6 @@ class Machine
      * several per reference.
      */
     void run(AccessBatch &batch);
-
-    /** Pull batches from @p stream until it is exhausted. */
-    void run(RefStream &stream);
 
     // ----- fast-forward regions ----------------------------------------
 
@@ -614,8 +610,7 @@ class Machine
     /**
      * The machine's full hierarchical metrics tree: every component's
      * counters, gauges and distributions under stable dotted names
-     * (docs/METRICS.md).  `metrics().flatten(reg, prefix)` reproduces
-     * the legacy flat-registry names.
+     * (docs/METRICS.md); `metrics().dump(os)` prints them as text.
      */
     obs::MetricsNode metrics() const;
 

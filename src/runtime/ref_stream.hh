@@ -16,8 +16,6 @@
  *    `dep = i` has its addr_ready raised to the completion cycle of the
  *    batch's i-th reference, preserving the pointer-chasing
  *    serialization the per-call API threads by hand;
- *  - a RefStream is a pull source of batches for Machine::run(RefStream&)
- *    — the natural shape for trace replay and generated streams;
  *  - a BatchEmitter is the drop-in convenience for workload inner loops:
  *    result-free operations (store, prefetch, compute, unforwardedWrite)
  *    are deferred and flushed in batches; value-returning operations
@@ -27,8 +25,7 @@
  * Batch size never changes simulated timing — references execute in
  * program order with the same cycle accounting as the per-call API
  * (tests/runtime/test_ref_stream.cc proves batch-size invariance).  The
- * default capacity is 256, overridable with MEMFWD_BATCH_CAP for the
- * differential tests.
+ * default capacity is 256.
  */
 
 #ifndef MEMFWD_RUNTIME_REF_STREAM_HH
@@ -56,8 +53,12 @@ struct MemRef
     std::int32_t dep = -1;
 };
 
-/** Batch capacity: MEMFWD_BATCH_CAP if set and positive, else 256. */
-std::size_t defaultBatchCapacity();
+/** The batch capacity AccessBatch and BatchEmitter default to. */
+constexpr std::size_t
+defaultBatchCapacity()
+{
+    return 256;
+}
 
 /** A flat, bounded, reusable array of MemRefs. */
 class AccessBatch
@@ -93,24 +94,6 @@ class AccessBatch
   private:
     std::vector<MemRef> refs_;
     std::size_t capacity_;
-};
-
-/**
- * A pull source of reference batches.  Machine::run(RefStream&) clears
- * the batch, calls fill(), runs whatever was appended, and repeats
- * until fill() returns false.
- */
-class RefStream
-{
-  public:
-    virtual ~RefStream() = default;
-
-    /**
-     * Append the next run of references to @p batch (at most
-     * batch.capacity() - batch.size()).  Return false when the stream
-     * is exhausted and nothing was appended.
-     */
-    virtual bool fill(AccessBatch &batch) = 0;
 };
 
 /**

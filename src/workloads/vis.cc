@@ -28,7 +28,6 @@
 #include "runtime/list_linearize.hh"
 #include "runtime/machine.hh"
 #include "runtime/sim_allocator.hh"
-#include "workloads/vis_tunables.hh"
 #include "workloads/workload_util.hh"
 
 #include <memory>
@@ -36,23 +35,6 @@
 
 namespace memfwd
 {
-
-namespace
-{
-unsigned vis_linearize_threshold = 50;
-} // namespace
-
-void
-setVisLinearizeThreshold(unsigned threshold)
-{
-    vis_linearize_threshold = threshold;
-}
-
-unsigned
-visLinearizeThreshold()
-{
-    return vis_linearize_threshold;
-}
 
 namespace
 {
@@ -136,7 +118,7 @@ Vis::run(Machine &machine, const WorkloadVariant &variant)
         if (!variant.layout_opt)
             return;
         const AccessResult c = machine.access(Access::load(head + head_counter, wordBytes));
-        if (c.value <= vis_linearize_threshold)
+        if (c.value <= variant.linearize_threshold)
             return;
         const LinearizeResult lr = listLinearize(
             *backend, head + head_ptr, {node_bytes, node_next, 0}, *pool);

@@ -47,6 +47,12 @@ struct WorkloadVariant
      * reports the best per configuration (Section 5.2).
      */
     unsigned prefetch_block = 1;
+
+    /**
+     * List operations between linearizations in VIS's list library
+     * (Section 5.3: "arbitrarily set to 50"); only VIS reads it.
+     */
+    unsigned linearize_threshold = 50;
 };
 
 /** Size/seed parameters. scale=1 is the default benchmark size. */

@@ -1,16 +1,18 @@
 /**
  * @file
  * Hierarchical metrics: tree construction, distributions, the versioned
- * JSON export (golden-file checked), and the flattened legacy names.
+ * JSON export (golden-file checked), and the dotted names of the text
+ * dump.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
 
-#include "common/stats_registry.hh"
 #include "obs/metrics.hh"
 #include "runtime/machine.hh"
 #include "runtime/relocation.hh"
@@ -59,25 +61,45 @@ TEST(MetricsNode, TreeConstruction)
     EXPECT_EQ(root.findChild("nope"), nullptr);
 }
 
+/** The `name = value` lines of @p node's text dump, keyed by name. */
+std::map<std::string, std::uint64_t>
+dumpedValues(const MetricsNode &node)
+{
+    std::ostringstream os;
+    node.dump(os);
+    std::istringstream in(os.str());
+    std::map<std::string, std::uint64_t> values;
+    std::string name, eq;
+    std::uint64_t value = 0;
+    while (in >> name >> eq >> value)
+        values[name] = value;
+    return values;
+}
+
 TEST(MetricsNode, FlattenReproducesDottedNames)
 {
     MetricsNode root;
     root.counter("cycles", 100);
-    root.gauge("ipc", 2.0); // gauges are not representable: skipped
+    root.counter("fwd_total", 9); // '_' sorts after "fwd.": global order
+    root.gauge("ipc", 2.0);       // gauges are not integers: skipped
     root.child("l1d").counter("load_hits", 5);
     root.child("fwd").distribution("hop_hist").record(2, 3);
 
-    StatsRegistry reg;
-    root.flatten(reg);
-    EXPECT_EQ(reg.get("cycles"), 100u);
-    EXPECT_EQ(reg.get("l1d.load_hits"), 5u);
-    EXPECT_EQ(reg.get("fwd.hop_hist.count"), 3u);
-    EXPECT_EQ(reg.get("fwd.hop_hist.sum"), 6u);
-    EXPECT_FALSE(reg.has("ipc"));
+    std::ostringstream os;
+    root.dump(os);
+    EXPECT_EQ(os.str(), "cycles = 100\n"
+                        "fwd.hop_hist.count = 3\n"
+                        "fwd.hop_hist.max = 2\n"
+                        "fwd.hop_hist.min = 2\n"
+                        "fwd.hop_hist.sum = 6\n"
+                        "fwd_total = 9\n"
+                        "l1d.load_hits = 5\n");
 
-    StatsRegistry prefixed;
-    root.flatten(prefixed, "m0.");
-    EXPECT_EQ(prefixed.get("m0.l1d.load_hits"), 5u);
+    std::ostringstream prefixed;
+    root.dump(prefixed, "m0.");
+    EXPECT_NE(prefixed.str().find("m0.l1d.load_hits = 5\n"),
+              std::string::npos);
+    EXPECT_EQ(prefixed.str().rfind("m0.cycles = 100\n", 0), 0u);
 }
 
 TEST(MetricsDocument, VersionedEnvelope)
@@ -142,15 +164,14 @@ TEST(MetricsDocument, MachineExportMatchesGolden)
 TEST(FlattenedMetrics, KeepsLegacyNames)
 {
     // The dotted names the pre-observability registry exposed must
-    // keep falling out of metrics().flatten() — downstream scripts key
-    // on them (docs/METRICS.md name-stability policy).
+    // keep falling out of metrics().dump() — downstream scripts key on
+    // them (docs/METRICS.md name-stability policy).
     Machine m;
     m.access(Access::store(0x3000, 8, 1));
     relocate(m, 0x3000, 0xa000, 1);
     m.access(Access::load(0x3000, 8));
 
-    StatsRegistry reg;
-    m.metrics().flatten(reg, "");
+    const auto values = dumpedValues(m.metrics());
     for (const char *name :
          {"cycles", "instructions", "slots.busy", "slots.load_stall",
           "slots.store_stall", "slots.inst_stall", "l1d.load_hits",
@@ -162,11 +183,11 @@ TEST(FlattenedMetrics, KeepsLegacyNames)
           "fwd.chains_collapsed", "refs.loads", "refs.stores",
           "refs.loads_forwarded", "lsq.speculations",
           "lsq.violations"}) {
-        EXPECT_TRUE(reg.has(name)) << "legacy stat lost: " << name;
+        EXPECT_TRUE(values.count(name)) << "legacy stat lost: " << name;
     }
-    EXPECT_EQ(reg.get("refs.loads"), 1u);
-    EXPECT_EQ(reg.get("fwd.walks"), 1u);
-    EXPECT_EQ(reg.get("fwd.hops"), 1u);
+    EXPECT_EQ(values.at("refs.loads"), 1u);
+    EXPECT_EQ(values.at("fwd.walks"), 1u);
+    EXPECT_EQ(values.at("fwd.hops"), 1u);
 }
 
 TEST(FtcMetrics, CountersExportAndRoundTrip)

@@ -15,7 +15,8 @@ struct GcRig
 {
     Machine m;
     SimAllocator alloc{m};
-    CompactingHeap heap{m, alloc, 1 << 16};
+    ForwardingBackend backend{m};
+    CompactingHeap heap{backend, alloc, 1 << 16};
     Addr root_slot;
 
     GcRig()
@@ -225,7 +226,8 @@ TEST(CompactingHeapDeathTest, ExhaustionIsFatalNotSilent)
 {
     Machine m;
     SimAllocator alloc(m);
-    CompactingHeap heap(m, alloc, 256);
+    ForwardingBackend backend(m);
+    CompactingHeap heap(backend, alloc, 256);
     heap.alloc(20, 0);
     EXPECT_EXIT(
         {
@@ -233,6 +235,20 @@ TEST(CompactingHeapDeathTest, ExhaustionIsFatalNotSilent)
             heap.alloc(20, 0);
         },
         ::testing::ExitedWithCode(1), "exhausted");
+}
+
+TEST(CompactingHeapDeathTest, RefusesBackendsThatBreakStalePointers)
+{
+    // Handles refuse raw-range relocation of unmediated pointers; none
+    // refuses relocation outright.  Neither can host the collector.
+    Machine m;
+    SimAllocator alloc(m);
+    HandleBackend handles(m, alloc);
+    NullBackend none(m, alloc);
+    EXPECT_EXIT(CompactingHeap(handles, alloc, 1 << 12),
+                ::testing::ExitedWithCode(1), "'handles'");
+    EXPECT_EXIT(CompactingHeap(none, alloc, 1 << 12),
+                ::testing::ExitedWithCode(1), "'none'");
 }
 
 } // namespace

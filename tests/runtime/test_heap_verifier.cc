@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "common/stats_registry.hh"
 #include "core/fault_injector.hh"
 #include "runtime/compacting_heap.hh"
 #include "runtime/heap_verifier.hh"
@@ -186,7 +185,8 @@ TEST(HeapVerifier, CleanAfterCompactingHeapCollections)
 {
     Machine machine;
     SimAllocator alloc(machine);
-    CompactingHeap heap(machine, alloc, 1 << 16);
+    ForwardingBackend backend(machine);
+    CompactingHeap heap(backend, alloc, 1 << 16);
 
     // A small linked structure, collected twice (space flips back).
     std::vector<Addr> objs;
@@ -213,11 +213,10 @@ TEST(AuditReport, StatsAndDump)
     mem.unforwardedWrite(0x3000, 0x3000, true); // self-loop
 
     const AuditReport r = HeapVerifier(mem).audit();
-    StatsRegistry reg;
-    r.metrics().flatten(reg, "audit.");
-    EXPECT_EQ(reg.get("audit.chains"), 1u);
-    EXPECT_EQ(reg.get("audit.orphan_cycle_words"), 1u);
-    EXPECT_EQ(reg.get("audit.inconsistencies"), 1u);
+    const obs::MetricsNode m = r.metrics();
+    EXPECT_EQ(m.counterValue("chains"), 1u);
+    EXPECT_EQ(m.counterValue("orphan_cycle_words"), 1u);
+    EXPECT_EQ(m.counterValue("inconsistencies"), 1u);
 
     std::ostringstream os;
     r.dump(os);
@@ -256,10 +255,10 @@ TEST(HeapVerifier, QuarantinedChainsAreExpectedStateNotCorruption)
     }
     EXPECT_EQ(flagged, obj_words);
 
-    StatsRegistry reg;
-    r.metrics().flatten(reg, "audit.");
-    EXPECT_EQ(reg.get("audit.quarantined_chains"), obj_words);
-    EXPECT_EQ(reg.get("audit.inconsistencies"), 0u);
+    const obs::MetricsNode m = r.metrics();
+    EXPECT_EQ(m.counterValue("quarantined_chains"), obj_words);
+    ASSERT_TRUE(m.counters().count("inconsistencies"));
+    EXPECT_EQ(m.counterValue("inconsistencies"), 0u);
 
     std::ostringstream os;
     r.dump(os);

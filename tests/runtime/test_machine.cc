@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "common/stats_registry.hh"
+#include <sstream>
+#include <string>
+
 #include "core/cycle_check.hh"
 #include "runtime/machine.hh"
 
@@ -133,13 +135,18 @@ TEST(Machine, FlattenedMetricsExportCounters)
     Machine m;
     m.access(Access::store(0x1000, 8, 5));
     m.access(Access::load(0x1000, 8));
-    StatsRegistry reg;
-    m.metrics().flatten(reg, "m.");
-    EXPECT_EQ(reg.get("m.refs.loads"), 1u);
-    EXPECT_EQ(reg.get("m.refs.stores"), 1u);
-    EXPECT_GT(reg.get("m.cycles"), 0u);
-    EXPECT_TRUE(reg.has("m.slots.busy"));
-    EXPECT_TRUE(reg.has("m.traffic.l2_mem_bytes"));
+    const obs::MetricsNode root = m.metrics();
+    EXPECT_GT(root.counterValue("cycles"), 0u);
+
+    // The text dump names every counter by its prefixed dotted path.
+    std::ostringstream os;
+    root.dump(os, "m.");
+    const std::string text = "\n" + os.str();
+    EXPECT_NE(text.find("\nm.refs.loads = 1\n"), std::string::npos);
+    EXPECT_NE(text.find("\nm.refs.stores = 1\n"), std::string::npos);
+    EXPECT_NE(text.find("\nm.cycles = "), std::string::npos);
+    EXPECT_NE(text.find("\nm.slots.busy = "), std::string::npos);
+    EXPECT_NE(text.find("\nm.traffic.l2_mem_bytes = "), std::string::npos);
 }
 
 TEST(Machine, DependentAccessesRespectAddrReady)

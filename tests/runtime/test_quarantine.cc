@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "analysis/gate.hh"
-#include "common/stats_registry.hh"
 #include "core/traps.hh"
 #include "mem/metadata_plane.hh"
 #include "mem/tagged_memory.hh"
@@ -328,14 +327,17 @@ TEST(QuarantineAllocator, MetricsExported)
     r.machine.access(Access::load(b, wordBytes).objectId(b_id)); // uaf
     r.machine.access(Access::load(b, wordBytes));                // oob
 
-    StatsRegistry reg;
-    r.machine.metrics().flatten(reg);
-    EXPECT_EQ(reg.get("quarantine.violations_uaf"), 1u);
-    EXPECT_EQ(reg.get("quarantine.violations_oob"), 1u);
-    EXPECT_EQ(reg.get("quarantine.live_bytes"), obj_bytes);
-    EXPECT_EQ(reg.get("quarantine.quarantined_frees"), 1u);
-    EXPECT_EQ(reg.get("quarantine.reclaims"), 0u);
-    EXPECT_EQ(reg.get("quarantine.degraded_frees"), 0u);
+    const obs::MetricsNode root = r.machine.metrics();
+    const obs::MetricsNode *q = root.findChild("quarantine");
+    ASSERT_NE(q, nullptr);
+    EXPECT_EQ(q->counterValue("violations_uaf"), 1u);
+    EXPECT_EQ(q->counterValue("violations_oob"), 1u);
+    EXPECT_EQ(q->counterValue("live_bytes"), obj_bytes);
+    EXPECT_EQ(q->counterValue("quarantined_frees"), 1u);
+    ASSERT_TRUE(q->counters().count("reclaims"));
+    ASSERT_TRUE(q->counters().count("degraded_frees"));
+    EXPECT_EQ(q->counterValue("reclaims"), 0u);
+    EXPECT_EQ(q->counterValue("degraded_frees"), 0u);
 }
 
 TEST(QuarantineAllocator, TemporalViolationTraceEventEmitted)
@@ -377,26 +379,6 @@ TEST(QuarantineAllocator, AnalysisGateAcceptsQuarantineMicroPlans)
     EXPECT_GE(gate.stats().plans_submitted, 1u);
     r.machine.setAnalysisGate(nullptr);
 }
-
-/** Replays a recorded access list through Machine::run(RefStream&). */
-class ReplayStream : public RefStream
-{
-  public:
-    explicit ReplayStream(const std::vector<Access> &accs) : accs_(accs) {}
-
-    bool
-    fill(AccessBatch &batch) override
-    {
-        const std::size_t before = batch.size();
-        while (next_ < accs_.size() && !batch.full())
-            batch.push(accs_[next_++]);
-        return batch.size() != before;
-    }
-
-  private:
-    const std::vector<Access> &accs_;
-    std::size_t next_ = 0;
-};
 
 /**
  * PR6-style batch invariance, now with the metadata plane and a
@@ -441,14 +423,15 @@ TEST(QuarantineAllocator, BatchInvarianceWithPlaneAndQuarantine)
                 r.machine.access(copy);
             }
         } else {
-            ReplayStream stream(probes);
             AccessBatch batch(batch_cap);
-            while (true) {
-                batch.clear();
-                if (!stream.fill(batch))
-                    break;
-                r.machine.run(batch);
+            for (const Access &acc : probes) {
+                batch.push(acc);
+                if (batch.full()) {
+                    r.machine.run(batch);
+                    batch.clear();
+                }
             }
+            r.machine.run(batch);
         }
         const auto &fs = r.machine.forwarding().stats();
         return {r.machine.cycles(), fs.temporal_uaf, fs.temporal_oob};

@@ -407,59 +407,5 @@ TEST(BatchEmitter, DestructorFlushes)
     EXPECT_EQ(m.peek(0x5000, wordBytes), 123u);
 }
 
-// ---------------------------------------------------------------------
-// RefStream draining
-// ---------------------------------------------------------------------
-
-/** Replays a fixed reference vector, honoring batch capacity. */
-class VectorStream : public RefStream
-{
-  public:
-    explicit VectorStream(std::vector<Access> refs)
-        : refs_(std::move(refs))
-    {
-    }
-
-    bool
-    fill(AccessBatch &batch) override
-    {
-        ++fills_;
-        bool appended = false;
-        while (next_ < refs_.size() && !batch.full()) {
-            batch.push(refs_[next_++]);
-            appended = true;
-        }
-        return appended;
-    }
-
-    unsigned fills() const { return fills_; }
-
-  private:
-    std::vector<Access> refs_;
-    std::size_t next_ = 0;
-    unsigned fills_ = 0;
-};
-
-TEST(RefStreamApi, MachineDrainsStreamToExhaustion)
-{
-    // 600 refs: several times the default batch capacity, so the
-    // clear/fill/run loop must cycle more than once.
-    std::vector<Access> refs;
-    for (unsigned i = 0; i < 300; ++i)
-        refs.push_back(Access::store(0x10000 + i * wordBytes, wordBytes,
-                                     i + 1));
-    for (unsigned i = 0; i < 300; ++i)
-        refs.push_back(Access::load(0x10000 + i * wordBytes, wordBytes));
-
-    Machine m;
-    VectorStream stream(refs);
-    m.run(stream);
-
-    EXPECT_EQ(m.refsExecuted(), 600u);
-    EXPECT_GE(stream.fills(), 2u);
-    for (unsigned i = 0; i < 300; ++i)
-        ASSERT_EQ(m.peek(0x10000 + i * wordBytes, wordBytes), i + 1);
-}
-
 } // namespace
 } // namespace memfwd

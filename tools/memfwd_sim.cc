@@ -22,11 +22,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "analysis/gate.hh"
 #include "common/logging.hh"
-#include "common/stats_registry.hh"
 #include "core/cycle_check.hh"
 #include "core/fault_injector.hh"
 #include "obs/metrics.hh"
@@ -523,31 +523,29 @@ main(int argc, char **argv)
         }
     }
 
+    // One audit serves the report, --stats and --json.
+    std::optional<AuditReport> audit;
     if (run_audit) {
-        HeapVerifier verifier(machine.mem());
-        const AuditReport report = verifier.audit();
+        audit = HeapVerifier(machine.mem()).audit();
         std::printf("\n");
-        report.dump(std::cout);
-        if (!report.clean())
+        audit->dump(std::cout);
+        if (!audit->clean())
             exit_code = exit_code == 0 ? 3 : exit_code;
     }
 
+    obs::MetricsNode root;
+    if (dump_stats || !json_path.empty()) {
+        root = machine.metrics();
+        if (audit)
+            audit->fillMetrics(root.child("audit"));
+    }
+
     if (dump_stats) {
-        StatsRegistry reg;
-        machine.metrics().flatten(reg, "");
-        if (run_audit) {
-            HeapVerifier verifier(machine.mem());
-            verifier.audit().metrics().flatten(reg, "audit.");
-        }
         std::printf("\n");
-        reg.dump(std::cout);
+        root.dump(std::cout);
     }
 
     if (!json_path.empty()) {
-        obs::MetricsNode root = machine.metrics();
-        if (run_audit)
-            HeapVerifier(machine.mem()).audit().fillMetrics(
-                root.child("audit"));
         const obs::Json doc =
             obs::metricsDocument(root, "memfwd_sim/" + cfg.workload);
         if (json_path == "-") {
