@@ -14,15 +14,12 @@
 
 #include "bench_util.hh"
 
-#include "common/logging.hh"
-
 using namespace memfwd;
 using namespace memfwd::bench;
 
 int
-main()
+bench::ablation_dep_speculation(Report &)
 {
-    memfwd::bench::Report report("ablation_dep_speculation");
     header("Ablation: data dependence speculation on initial addresses",
            "speculative vs. conservative (loads wait for older stores' "
            "final addresses); 32B lines, L variants");
@@ -32,12 +29,7 @@ main()
                 "violations");
 
     for (const auto &name : workloadNames()) {
-        RunConfig cfg;
-        cfg.workload = name;
-        cfg.params.scale = benchScale();
-        cfg.machine = machineAt(32);
-        cfg.variant.layout_opt = true;
-
+        RunConfig cfg = standardConfig(name, 32, true);
         cfg.machine.cpu.dep_speculation = true;
         const RunResult spec = runCase(name + "/spec", cfg);
         cfg.machine.cpu.dep_speculation = false;

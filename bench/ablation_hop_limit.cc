@@ -27,7 +27,8 @@ namespace
 
 /** Time `refs` dependent loads through a chain of `len` hops. */
 Cycles
-timeChain(unsigned hop_limit, unsigned chain_len, unsigned refs)
+timeChain(Report &report, unsigned hop_limit, unsigned chain_len,
+          unsigned refs)
 {
     MachineConfig mc;
     mc.forwarding.hop_limit = hop_limit;
@@ -49,20 +50,18 @@ timeChain(unsigned hop_limit, unsigned chain_len, unsigned refs)
         dep = m.access(Access::load(origin, 8, dep)).ready;
     const Cycles elapsed = m.cycles() - start;
 
-    if (auto *rep = Report::current()) {
-        rep->addCase("len" + std::to_string(chain_len) + "/limit" +
-                         std::to_string(hop_limit),
-                     elapsed, m.cpu().instructions(), 0, m.metrics());
-    }
+    report.addCase("len" + std::to_string(chain_len) + "/limit" +
+                       std::to_string(hop_limit),
+                   elapsed, m.cpu().instructions(), 0, m.metrics(),
+                   m.refsExecuted());
     return elapsed;
 }
 
 } // namespace
 
 int
-main()
+bench::ablation_hop_limit(Report &report)
 {
-    memfwd::bench::Report report("ablation_hop_limit");
     header("Ablation: forwarding hop limit vs. accurate cycle check",
            "cost of 10,000 loads through chains of each length; false "
            "alarms charge the software check");
@@ -75,7 +74,7 @@ main()
     for (unsigned len : {0u, 1u, 3u, 7u, 15u, 31u}) {
         std::printf("%-12u", len);
         for (unsigned limit : {2u, 4u, 8u, 16u, 64u}) {
-            const Cycles c = timeChain(limit, len, 10000);
+            const Cycles c = timeChain(report, limit, len, 10000);
             std::printf("  %-14s", withCommas(c).c_str());
         }
         std::printf("\n");

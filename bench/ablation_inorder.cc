@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 
 using namespace memfwd;
 using namespace memfwd::bench;
@@ -26,17 +25,14 @@ namespace
 RunResult
 runOn(const std::string &wl, bool inorder, bool opt)
 {
-    RunConfig cfg;
-    cfg.workload = wl;
-    cfg.params.scale = benchScale() * 0.5; // in-order runs are slow
-    cfg.machine = machineAt(64);
+    RunConfig cfg = standardConfig(wl, 64, opt);
+    cfg.params.scale *= 0.5; // in-order runs are slow
     if (inorder) {
         cfg.machine.cpu.width = 1;
         cfg.machine.cpu.window = 2;
         cfg.machine.cpu.mem_ports = 1;
         cfg.machine.cpu.store_buffer = 1;
     }
-    cfg.variant.layout_opt = opt;
     return runCase(wl + "/" + (inorder ? "inorder" : "ooo") + "/" +
                        (opt ? "L" : "N"),
                    cfg);
@@ -45,9 +41,8 @@ runOn(const std::string &wl, bool inorder, bool opt)
 } // namespace
 
 int
-main()
+bench::ablation_inorder(Report &)
 {
-    memfwd::bench::Report report("ablation_inorder");
     header("Ablation: out-of-order (4-wide, 64-entry) vs. in-order "
            "(1-wide, blocking); 64B lines",
            "layout optimizations must win on both machines");

@@ -16,9 +16,8 @@ using namespace memfwd;
 using namespace memfwd::bench;
 
 int
-main()
+bench::ablation_linearize_threshold(Report &)
 {
-    memfwd::bench::Report report("ablation_linearize_threshold");
     header("Ablation: linearization threshold (VIS, 64B lines)",
            "paper's arbitrary choice was 50 ops between "
            "linearizations");
@@ -29,28 +28,33 @@ main()
     std::printf("%-12s %14s %8.2fx %16s\n", "(none: N)",
                 withCommas(n.cycles).c_str(), 1.0, "0");
 
+    unsigned best = 0;
+    double best_speedup = 0.0, paper_speedup = 0.0, last_speedup = 0.0;
     for (unsigned threshold : {5u, 15u, 30u, 50u, 100u, 200u, 400u}) {
-        RunConfig cfg;
-        cfg.workload = "vis";
-        cfg.params.scale = benchScale();
-        cfg.machine = machineAt(64);
-        cfg.variant.layout_opt = true;
+        RunConfig cfg = standardConfig("vis", 64, true);
         cfg.variant.linearize_threshold = threshold;
         const RunResult l = runCase(
             "vis/64B/L/thresh" + std::to_string(threshold), cfg);
+        last_speedup = double(n.cycles) / double(l.cycles);
         std::printf("%-12u %14s %8.2fx %13.1fMB\n", threshold,
-                    withCommas(l.cycles).c_str(),
-                    double(n.cycles) / double(l.cycles),
+                    withCommas(l.cycles).c_str(), last_speedup,
                     double(l.space_overhead_bytes) / double(1 << 20));
         if (l.checksum != n.checksum) {
             std::printf("CHECKSUM MISMATCH at threshold %u\n", threshold);
             return 1;
         }
+        if (last_speedup > best_speedup) {
+            best = threshold;
+            best_speedup = last_speedup;
+        }
+        if (threshold == 50)
+            paper_speedup = last_speedup;
     }
 
-    std::printf("\ntakeaway: a broad plateau around the paper's 50 — "
-                "the optimization is robust to the trigger choice, "
-                "but extreme settings lose ground to relocation cost "
-                "(low) or layout decay (high).\n");
+    std::printf("\ntakeaway: no plateau — the speedup peaks at threshold "
+                "%u (%.2fx) and falls to %.2fx at 400; the paper's 50 "
+                "gives %.2fx.  Low thresholds lose to relocation cost, "
+                "the highest to layout decay.\n",
+                best, best_speedup, last_speedup, paper_speedup);
     return 0;
 }

@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 
 using namespace memfwd;
 using namespace memfwd::bench;
@@ -38,13 +37,9 @@ policyName(ReplacementPolicy p)
 RunResult
 runWith(const std::string &wl, ReplacementPolicy policy, bool opt)
 {
-    RunConfig cfg;
-    cfg.workload = wl;
-    cfg.params.scale = benchScale();
-    cfg.machine = machineAt(64);
+    RunConfig cfg = standardConfig(wl, 64, opt);
     cfg.machine.hierarchy.l1d.replacement = policy;
     cfg.machine.hierarchy.l2.replacement = policy;
-    cfg.variant.layout_opt = opt;
     return runCase(wl + "/" + policyName(policy) + "/" +
                        (opt ? "L" : "N"),
                    cfg);
@@ -53,9 +48,8 @@ runWith(const std::string &wl, ReplacementPolicy policy, bool opt)
 } // namespace
 
 int
-main()
+bench::ablation_replacement(Report &)
 {
-    memfwd::bench::Report report("ablation_replacement");
     header("Ablation: replacement policy (64B lines, both levels)",
            "does the layout-optimization win depend on LRU modelling?");
 

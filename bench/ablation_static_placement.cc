@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "runtime/layout_backend.hh"
 #include "runtime/list_linearize.hh"
 #include "runtime/machine.hh"
@@ -52,12 +51,15 @@ enum class Mode
 struct PhaseCosts
 {
     std::vector<Cycles> per_phase;
+    Cycles total = 0;
     std::uint64_t checksum = 0;
 };
 
+/** Run one mode and record it as @p label (cycles: the phase total). */
 PhaseCosts
-run(Mode mode, unsigned n_nodes, unsigned phases, unsigned churn,
-    BackendKind kind = BackendKind::forwarding)
+runList(Report &report, const std::string &label, Mode mode,
+        unsigned n_nodes, unsigned phases, unsigned churn,
+        BackendKind kind = BackendKind::forwarding)
 {
     MachineConfig mc;
     mc.hierarchy.setLineBytes(64);
@@ -106,6 +108,7 @@ run(Mode mode, unsigned n_nodes, unsigned phases, unsigned churn,
             }
         }
         out.per_phase.push_back(m.cycles() - begin);
+        out.total += out.per_phase.back();
 
         // Churn: deletions plus insertions.  Even under static
         // placement, churn-era nodes land wherever the aged heap has
@@ -143,16 +146,16 @@ run(Mode mode, unsigned n_nodes, unsigned phases, unsigned churn,
             }
         }
     }
+    report.addCase(label, out.total, m.cpu().instructions(), out.checksum,
+                   m.metrics(), m.refsExecuted());
     return out;
 }
 
 } // namespace
 
 int
-main()
+bench::ablation_static_placement(Report &report)
 {
-    memfwd::bench::Report report("ablation_static_placement");
-    setVerbose(false);
     header("Ablation: static placement vs. run-time relocation "
            "(64B lines)",
            "per-phase traversal cycles for a churning list; lower is "
@@ -162,14 +165,19 @@ main()
     const unsigned phases = 16;
     const unsigned churn = 350;
 
-    const PhaseCosts scattered = run(Mode::scattered, n, phases, churn);
-    const PhaseCosts fixed = run(Mode::static_placement, n, phases, churn);
-    const PhaseCosts reloc = run(Mode::relocation, n, phases, churn);
+    const PhaseCosts scattered =
+        runList(report, "scattered", Mode::scattered, n, phases, churn);
+    const PhaseCosts fixed = runList(report, "static_placement",
+                                     Mode::static_placement, n, phases,
+                                     churn);
+    const PhaseCosts reloc =
+        runList(report, "relocation", Mode::relocation, n, phases, churn);
     // Backend axis: the same relocation-mode code run on a backend
     // that refuses to relocate — the pass becomes a no-op and the
     // "relocation" curve collapses onto the scattered baseline.
     const PhaseCosts refused =
-        run(Mode::relocation, n, phases, churn, BackendKind::none);
+        runList(report, "relocation_backend_none", Mode::relocation, n,
+                phases, churn, BackendKind::none);
 
     if (scattered.checksum != fixed.checksum ||
         fixed.checksum != reloc.checksum ||
@@ -188,29 +196,15 @@ main()
                     withCommas(refused.per_phase[p]).c_str());
     }
 
-    const auto total = [](const PhaseCosts &c) {
-        Cycles t = 0;
-        for (Cycles x : c.per_phase)
-            t += x;
-        return t;
-    };
-    report.addCase("scattered", total(scattered), 0, scattered.checksum,
-                   obs::MetricsNode{});
-    report.addCase("static_placement", total(fixed), 0, fixed.checksum,
-                   obs::MetricsNode{});
-    report.addCase("relocation", total(reloc), 0, reloc.checksum,
-                   obs::MetricsNode{});
-    report.addCase("relocation_backend_none", total(refused), 0,
-                   refused.checksum, obs::MetricsNode{});
     std::printf("\ntotals: scattered %s, static %s (%.2fx), relocation "
                 "%s (%.2fx), refused %s (%.2fx)\n",
-                withCommas(total(scattered)).c_str(),
-                withCommas(total(fixed)).c_str(),
-                double(total(scattered)) / double(total(fixed)),
-                withCommas(total(reloc)).c_str(),
-                double(total(scattered)) / double(total(reloc)),
-                withCommas(total(refused)).c_str(),
-                double(total(scattered)) / double(total(refused)));
+                withCommas(scattered.total).c_str(),
+                withCommas(fixed.total).c_str(),
+                double(scattered.total) / double(fixed.total),
+                withCommas(reloc.total).c_str(),
+                double(scattered.total) / double(reloc.total),
+                withCommas(refused.total).c_str(),
+                double(scattered.total) / double(refused.total));
     std::printf("\ntakeaway: static placement starts as good as "
                 "relocation and decays with churn; relocation tracks "
                 "the dynamic membership — the adaptivity the paper "

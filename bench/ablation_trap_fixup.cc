@@ -16,7 +16,6 @@
 
 #include "bench_util.hh"
 
-#include "common/logging.hh"
 #include "core/traps.hh"
 #include "runtime/machine.hh"
 #include "workloads/smv_hooks.hh"
@@ -35,22 +34,15 @@ struct SmvRun
     std::uint64_t traps;
     std::uint64_t fixed;
     std::uint64_t checksum;
+    /** The profiling tool's view: forwarded refs per static site. */
+    std::vector<std::pair<SiteId, std::uint64_t>> hottest;
 };
 
 SmvRun
-runSmv(const std::string &label, bool fixup,
-       ForwardingProfiler **out_prof = nullptr)
+runSmv(Report &report, const std::string &label, bool fixup)
 {
-    setVerbose(false);
-    MachineConfig mc = machineAt(32);
-    Machine machine(mc);
-
-    static ForwardingProfiler *prof = nullptr;
-    delete prof;
-    prof = new ForwardingProfiler(machine.forwarding().traps());
-    if (out_prof)
-        *out_prof = prof;
-
+    Machine machine(machineAt(32));
+    ForwardingProfiler prof(machine.forwarding().traps());
     if (fixup)
         installSmvPointerFixup(machine);
 
@@ -61,32 +53,26 @@ runSmv(const std::string &label, bool fixup,
     v.layout_opt = true;
     w->run(machine, v);
 
-    if (!label.empty()) {
-        if (auto *rep = Report::current()) {
-            rep->addCase(label, machine.cycles(),
-                         machine.cpu().instructions(), w->checksum(),
-                         machine.metrics());
-        }
-    }
-
+    report.addCase(label, machine.cycles(), machine.cpu().instructions(),
+                   w->checksum(), machine.metrics(),
+                   machine.refsExecuted());
     return {machine.cycles(), machine.loadsForwarded(),
             machine.forwarding().traps().delivered(),
-            machine.forwarding().traps().pointersFixed(),
-            w->checksum()};
+            machine.forwarding().traps().pointersFixed(), w->checksum(),
+            prof.hottest()};
 }
 
 } // namespace
 
 int
-main()
+bench::ablation_trap_fixup(Report &report)
 {
-    memfwd::bench::Report report("ablation_trap_fixup");
     header("Ablation: on-the-fly pointer fixup via user-level traps "
            "(SMV, 32B lines)",
            "the trap handler rewrites each stray pointer it catches");
 
-    const SmvRun plain = runSmv("L", false);
-    const SmvRun fixed = runSmv("L+fixup", true);
+    const SmvRun plain = runSmv(report, "L", false);
+    const SmvRun fixed = runSmv(report, "L+fixup", true);
 
     if (plain.checksum != fixed.checksum) {
         std::printf("CHECKSUM MISMATCH\n");
@@ -111,12 +97,11 @@ main()
                 100.0 * (1.0 - double(fixed.forwarded_loads) /
                                    double(plain.forwarded_loads)));
 
-    // Profiling-tool view (the paper's first trap use case).
-    ForwardingProfiler *prof = nullptr;
-    runSmv("", false, &prof);
+    // Profiling-tool view (the paper's first trap use case), as the
+    // profiler saw the plain L run.
     std::printf("\nprofiling tool: forwarded references per static "
                 "site\n");
-    for (const auto &[site, count] : prof->hottest()) {
+    for (const auto &[site, count] : plain.hottest) {
         const char *names[] = {"(none)", "hash-chain walk",
                                "tree low-child deref",
                                "tree high-child deref"};

@@ -1,6 +1,5 @@
 #include "bench_util.hh"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -15,15 +14,26 @@ namespace
 
 Report *current_report = nullptr;
 
-unsigned
-envUnsigned(const char *name, unsigned fallback)
+/** One configuration runCase() simulated, and the case that recorded it. */
+struct MemoEntry
 {
-    if (const char *env = std::getenv(name)) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    return fallback;
+    RunConfig cfg;
+    RunResult result;
+    std::string origin; ///< "<bench>/<label>"
+    double wall_ms;
+};
+
+std::vector<MemoEntry> memo;
+
+const MemoEntry *
+findRun(const RunConfig &cfg)
+{
+    if (cfg.trace_sink)
+        return nullptr;
+    for (const MemoEntry &m : memo)
+        if (m.cfg == cfg)
+            return &m;
+    return nullptr;
 }
 
 std::string
@@ -36,12 +46,16 @@ variantLabel(const WorkloadVariant &v)
 }
 
 /**
- * Host-speed gauges for one case (docs/METRICS.md "host" family).
- * Wall time varies across machines, so scripts/bench_diff.py treats
- * these as advisory — present-and-tracked, never a pass/fail gate.
+ * One case (docs/METRICS.md).  The host-speed gauges vary across
+ * machines, so scripts/bench_diff.py treats them as advisory —
+ * present-and-tracked, never a pass/fail gate.
  */
 obs::Json
-hostJson(std::uint64_t refs, double wall_ms)
+caseJson(const std::string &label, const std::string &workload,
+         const std::string &variant, std::uint64_t cycles,
+         std::uint64_t instructions, std::uint64_t checksum,
+         const obs::MetricsNode &metrics, std::uint64_t refs,
+         double wall_ms)
 {
     obs::Json h = obs::Json::object();
     h["refs"] = obs::Json::number(refs);
@@ -49,7 +63,18 @@ hostJson(std::uint64_t refs, double wall_ms)
     const double rps =
         (refs && wall_ms > 0.0) ? double(refs) * 1000.0 / wall_ms : 0.0;
     h["refs_per_sec"] = obs::Json::real(rps);
-    return h;
+
+    obs::Json c = obs::Json::object();
+    c["label"] = obs::Json::string(label);
+    c["workload"] = obs::Json::string(workload);
+    c["variant"] = obs::Json::string(variant);
+    c["cycles"] = obs::Json::number(cycles);
+    c["instructions"] = obs::Json::number(instructions);
+    c["checksum"] = obs::Json::number(checksum);
+    c["wall_ms"] = obs::Json::real(wall_ms);
+    c["host"] = std::move(h);
+    c["metrics"] = metrics.toJson();
+    return c;
 }
 
 } // namespace
@@ -63,18 +88,6 @@ benchScale()
     return 1.0;
 }
 
-unsigned
-benchReps()
-{
-    return envUnsigned("MEMFWD_BENCH_REPS", 1);
-}
-
-unsigned
-benchWarmup()
-{
-    return envUnsigned("MEMFWD_BENCH_WARMUP", 0);
-}
-
 MachineConfig
 machineAt(unsigned line_bytes)
 {
@@ -86,7 +99,7 @@ machineAt(unsigned line_bytes)
 // ---------------------------------------------------------------------
 
 Report::Report(const std::string &name)
-    : name_(name)
+    : name_(name), lap_start_(std::chrono::steady_clock::now())
 {
     memfwd_assert(!current_report,
                   "only one bench::Report may be alive at a time");
@@ -95,80 +108,17 @@ Report::Report(const std::string &name)
 
 Report::~Report()
 {
-    write();
     current_report = nullptr;
-}
-
-Report *
-Report::current()
-{
-    return current_report;
-}
-
-void
-Report::add(const std::string &label, const RunResult &r, double wall_ms,
-            unsigned reps)
-{
-    obs::Json c = obs::Json::object();
-    c["label"] = obs::Json::string(label);
-    c["workload"] = obs::Json::string(r.workload);
-    c["variant"] = obs::Json::string(variantLabel(r.variant));
-    c["cycles"] = obs::Json::number(r.cycles);
-    c["instructions"] = obs::Json::number(r.instructions);
-    c["checksum"] = obs::Json::number(r.checksum);
-    c["wall_ms"] = obs::Json::real(wall_ms);
-    c["reps"] = obs::Json::number(reps);
-    c["host"] = hostJson(r.refs, wall_ms);
-    c["metrics"] = r.metrics.toJson();
-    cases_.push_back(std::move(c));
-}
-
-void
-Report::addCase(const std::string &label, std::uint64_t cycles,
-                std::uint64_t instructions, std::uint64_t checksum,
-                const obs::MetricsNode &metrics, double wall_ms,
-                unsigned reps, std::uint64_t refs,
-                const std::vector<std::pair<std::string, double>>
-                    &extra_fields)
-{
-    obs::Json c = obs::Json::object();
-    c["label"] = obs::Json::string(label);
-    c["workload"] = obs::Json::string(std::string());
-    c["variant"] = obs::Json::string(std::string());
-    c["cycles"] = obs::Json::number(cycles);
-    c["instructions"] = obs::Json::number(instructions);
-    c["checksum"] = obs::Json::number(checksum);
-    c["wall_ms"] = obs::Json::real(wall_ms);
-    c["reps"] = obs::Json::number(reps);
-    c["host"] = hostJson(refs, wall_ms);
-    c["metrics"] = metrics.toJson();
-    for (const auto &[key, val] : extra_fields)
-        c[key] = obs::Json::real(val);
-    cases_.push_back(std::move(c));
-}
-
-obs::Json
-Report::toJson() const
-{
     obs::Json doc = obs::Json::object();
     doc["schema"] = obs::Json::string("memfwd.bench");
     doc["version"] = obs::Json::number(1);
     doc["bench"] = obs::Json::string(name_);
     doc["scale"] = obs::Json::real(benchScale());
-    doc["reps"] = obs::Json::number(benchReps());
-    doc["warmup"] = obs::Json::number(benchWarmup());
     obs::Json arr = obs::Json::array();
     for (const auto &c : cases_)
         arr.push(c);
     doc["cases"] = std::move(arr);
-    return doc;
-}
 
-void
-Report::write()
-{
-    if (written_)
-        return;
     std::string dir = ".";
     if (const char *env = std::getenv("MEMFWD_BENCH_OUT"))
         dir = env;
@@ -178,40 +128,88 @@ Report::write()
         std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
         return;
     }
-    toJson().write(os, 2);
+    doc.write(os, 2);
     os << "\n";
-    written_ = true;
+}
+
+Report *
+Report::current()
+{
+    return current_report;
+}
+
+double
+Report::lap()
+{
+    const auto now = std::chrono::steady_clock::now();
+    const double ms =
+        std::chrono::duration<double, std::milli>(now - lap_start_).count();
+    lap_start_ = now;
+    return ms;
+}
+
+obs::Json &
+Report::record(const std::string &label, const RunResult &r,
+               double wall_ms)
+{
+    cases_.push_back(caseJson(label, r.workload, variantLabel(r.variant),
+                              r.cycles, r.instructions, r.checksum,
+                              r.metrics, r.refs, wall_ms));
+    return cases_.back();
+}
+
+void
+Report::addCase(const std::string &label, std::uint64_t cycles,
+                std::uint64_t instructions, std::uint64_t checksum,
+                const obs::MetricsNode &metrics, std::uint64_t refs,
+                const Fields &extra)
+{
+    cases_.push_back(caseJson(label, "", "", cycles, instructions,
+                              checksum, metrics, refs, lap()));
+    addFields(extra);
+}
+
+void
+Report::addFields(const Fields &extra)
+{
+    memfwd_assert(!cases_.empty(), "addFields() before any case");
+    for (const auto &[key, val] : extra)
+        cases_.back()[key] = obs::Json::real(val);
 }
 
 // ---------------------------------------------------------------------
-// Harnessed runs
+// Memoized runs
 // ---------------------------------------------------------------------
 
 RunResult
 runCase(const std::string &label, const RunConfig &cfg)
 {
-    setVerbose(false);
-    for (unsigned i = 0; i < benchWarmup(); ++i)
-        runWorkload(cfg);
-
-    const unsigned reps = benchReps();
-    RunResult r;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (unsigned i = 0; i < reps; ++i)
-        r = runWorkload(cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count() /
-        double(reps);
-
-    if (Report *rep = Report::current())
-        rep->add(label, r, wall_ms, reps);
+    Report *rep = Report::current();
+    memfwd_assert(rep, "runCase() needs a live bench::Report");
+    if (const MemoEntry *m = findRun(cfg)) {
+        rep->record(label, m->result, m->wall_ms)["reused_from"] =
+            obs::Json::string(m->origin);
+        return m->result;
+    }
+    RunResult r = runWorkload(cfg);
+    const double wall_ms = rep->lap();
+    rep->record(label, r, wall_ms);
+    if (!cfg.trace_sink)
+        memo.push_back({cfg, r, rep->name_ + "/" + label, wall_ms});
     return r;
 }
 
 RunResult
-run(const std::string &workload, unsigned line_bytes, bool layout_opt,
-    bool prefetch, unsigned prefetch_block)
+simulate(const RunConfig &cfg)
+{
+    if (const MemoEntry *m = findRun(cfg))
+        return m->result;
+    return runWorkload(cfg);
+}
+
+RunConfig
+standardConfig(const std::string &workload, unsigned line_bytes,
+               bool layout_opt, bool prefetch, unsigned prefetch_block)
 {
     RunConfig cfg;
     cfg.workload = workload;
@@ -220,17 +218,18 @@ run(const std::string &workload, unsigned line_bytes, bool layout_opt,
     cfg.variant.layout_opt = layout_opt;
     cfg.variant.prefetch = prefetch;
     cfg.variant.prefetch_block = prefetch_block;
-
-    std::string label = workload + "/" + std::to_string(line_bytes) + "B/" +
-                        variantLabel(cfg.variant);
-    return runCase(label, cfg);
+    return cfg;
 }
 
-const std::vector<unsigned> &
-prefetchBlocks()
+RunResult
+run(const std::string &workload, unsigned line_bytes, bool layout_opt,
+    bool prefetch, unsigned prefetch_block)
 {
-    static const std::vector<unsigned> blocks = {1, 2, 4, 8};
-    return blocks;
+    const RunConfig cfg = standardConfig(workload, line_bytes, layout_opt,
+                                         prefetch, prefetch_block);
+    return runCase(workload + "/" + std::to_string(line_bytes) + "B/" +
+                       variantLabel(cfg.variant),
+                   cfg);
 }
 
 void

@@ -1,27 +1,27 @@
 /**
  * @file
- * Shared harness for the figure/table reproduction benches.
+ * Shared harness for the reproduction benches run by memfwd_bench.
  *
- * Beyond the original helpers (common machine configuration and
- * paper-style bar printing), every bench now runs through a small
- * measurement harness:
- *
- *  - each case gets `benchWarmup()` untimed warmup runs and
- *    `benchReps()` timed repetitions (MEMFWD_BENCH_WARMUP /
- *    MEMFWD_BENCH_REPS; the simulator is deterministic, so the
- *    defaults are 0 and 1);
- *  - each case's full hierarchical metrics tree is captured;
- *  - a `Report` declared in main() writes a schema-tagged
- *    `BENCH_<name>.json` (docs/METRICS.md) into MEMFWD_BENCH_OUT (or
- *    the working directory) when it goes out of scope.  The simulated
- *    cycle counts in the report are deterministic, which is what makes
- *    the committed bench/baseline/ comparable across machines —
+ *  - The runner gives each bench a `Report`; while it is alive,
+ *    runCase() records every case into it, and on destruction it
+ *    writes a schema-tagged `BENCH_<name>.json` (docs/METRICS.md) into
+ *    MEMFWD_BENCH_OUT (or the working directory).  Simulated cycle
+ *    counts are deterministic, which is what makes the committed
+ *    bench/baseline/ comparable across machines —
  *    scripts/bench_diff.py is the regression gate.
+ *  - runCase() memoizes on RunConfig equality for the whole process:
+ *    a configuration several figures plot is simulated once, and every
+ *    later case is recorded with the original's numbers plus
+ *    `reused_from`.  Traced runs are never served from the memo.
+ *  - A fresh case's wall_ms is the host time since the bench's
+ *    previous fresh case (or its start), so the work of benches built
+ *    on custom machinery lands in the case it produced.
  */
 
 #ifndef MEMFWD_BENCH_BENCH_UTIL_HH
 #define MEMFWD_BENCH_BENCH_UTIL_HH
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -37,22 +37,20 @@ namespace memfwd::bench
 /** Benchmark scale: 1.0 = the sizes in DESIGN.md (MEMFWD_BENCH_SCALE). */
 double benchScale();
 
-/** Timed repetitions per case (MEMFWD_BENCH_REPS, default 1). */
-unsigned benchReps();
-
-/** Untimed warmup runs per case (MEMFWD_BENCH_WARMUP, default 0). */
-unsigned benchWarmup();
-
 /** Default machine config at the given line size. */
 MachineConfig machineAt(unsigned line_bytes);
 
 /**
- * The per-binary JSON result file.  Declare one at the top of main():
- *
- *   bench::Report report("fig5_exec_breakdown");
- *
- * While it is alive, runCase()/run() record every case into it; its
- * destructor (or an explicit write()) emits BENCH_<name>.json.
+ * Extra top-level numeric fields of a case, where
+ * scripts/bench_diff.py --require-metric can see them (e.g. the
+ * detection_rate the temporal-safety gate asserts on).
+ */
+using Fields = std::vector<std::pair<std::string, double>>;
+
+/**
+ * One bench's JSON result file; only one may be alive at a time.  Its
+ * destructor writes BENCH_<name>.json into $MEMFWD_BENCH_OUT (or the
+ * working directory).
  */
 class Report
 {
@@ -63,62 +61,57 @@ class Report
     Report(const Report &) = delete;
     Report &operator=(const Report &) = delete;
 
-    /** Record one case measured as a full workload run. */
-    void add(const std::string &label, const RunResult &r,
-             double wall_ms = 0.0, unsigned reps = 1);
-
     /**
      * Record a case for benches built on custom machinery.  Pass the
      * machine's refsExecuted() as @p refs when available so the
      * host.refs_per_sec gauge is meaningful; 0 records the gauge as 0.
-     * @p extra_fields become top-level numeric fields on the case, where
-     * scripts/bench_diff.py --require-metric can see them (e.g. a
-     * detection_rate the diff gate asserts on).
      */
     void addCase(const std::string &label, std::uint64_t cycles,
                  std::uint64_t instructions, std::uint64_t checksum,
-                 const obs::MetricsNode &metrics, double wall_ms = 0.0,
-                 unsigned reps = 1, std::uint64_t refs = 0,
-                 const std::vector<std::pair<std::string, double>>
-                     &extra_fields = {});
+                 const obs::MetricsNode &metrics = {},
+                 std::uint64_t refs = 0, const Fields &extra = {});
 
-    /** Cases recorded so far. */
-    std::size_t cases() const { return cases_.size(); }
+    /** Add @p extra to the case recorded last. */
+    void addFields(const Fields &extra);
 
-    /** The whole report as a schema-tagged JSON document. */
-    obs::Json toJson() const;
-
-    /**
-     * Write BENCH_<name>.json into $MEMFWD_BENCH_OUT (or the working
-     * directory).  Idempotent; the destructor calls it.
-     */
-    void write();
-
-    const std::string &name() const { return name_; }
-
-    /** The report declared in main(), or nullptr outside its lifetime. */
+    /** The live report, or nullptr outside any report's lifetime. */
     static Report *current();
 
   private:
+    friend RunResult runCase(const std::string &, const RunConfig &);
+
+    /** Host milliseconds since the previous lap (or construction). */
+    double lap();
+
+    obs::Json &record(const std::string &label, const RunResult &r,
+                      double wall_ms);
+
     std::string name_;
     std::vector<obs::Json> cases_;
-    bool written_ = false;
+    std::chrono::steady_clock::time_point lap_start_;
 };
 
 /**
- * Run one configuration through the harness: warmup, timed reps, record
- * into the current Report (if any) under @p label.  Returns the last
- * repetition's result.
+ * Simulate @p cfg, or reuse an identical earlier run of this process,
+ * and record it into the current Report under @p label.
  */
 RunResult runCase(const std::string &label, const RunConfig &cfg);
 
-/** Harnessed run of one standard workload case (legacy signature). */
+/**
+ * The result of @p cfg without recording a case: served from the memo
+ * when runCase() already simulated it, otherwise run (and not kept).
+ */
+RunResult simulate(const RunConfig &cfg);
+
+/** One standard workload case at the bench scale. */
+RunConfig standardConfig(const std::string &workload, unsigned line_bytes,
+                         bool layout_opt, bool prefetch = false,
+                         unsigned prefetch_block = 1);
+
+/** runCase() of standardConfig(), labelled W/<line>B/<variant>. */
 RunResult run(const std::string &workload, unsigned line_bytes,
               bool layout_opt, bool prefetch = false,
               unsigned prefetch_block = 1);
-
-/** The prefetch block sizes swept (in lines), as in Section 5.2. */
-const std::vector<unsigned> &prefetchBlocks();
 
 /** Print a section header. */
 void header(const std::string &title, const std::string &subtitle);
@@ -132,6 +125,31 @@ void printBar(const std::string &label, const RunResult &r,
 
 /** Format a count with thousands separators. */
 std::string withCommas(std::uint64_t v);
+
+// The benches memfwd_bench runs, one per bench/<name>.cc.  Each prints
+// its rows, records its cases into @p report and returns its exit
+// status: nonzero when one of its own checks failed.
+int table1_applications(Report &report);
+int fig5_exec_breakdown(Report &report);
+int fig6_misses_bandwidth(Report &report);
+int fig7_prefetching(Report &report);
+int fig10_smv_forwarding(Report &report);
+int ablation_hop_limit(Report &report);
+int ablation_dep_speculation(Report &report);
+int ablation_linearize_threshold(Report &report);
+int ablation_trap_fixup(Report &report);
+int ablation_static_placement(Report &report);
+int ablation_replacement(Report &report);
+int ablation_inorder(Report &report);
+int ext_false_sharing(Report &report);
+int ext_data_coloring(Report &report);
+int ext_out_of_core(Report &report);
+int ext_tlb_reach(Report &report);
+int ext_fault_recovery(Report &report);
+int ext_temporal_safety(Report &report);
+int ext_kv_server(Report &report);
+int sweep_sensitivity(Report &report);
+int micro_ftc(Report &report);
 
 } // namespace memfwd::bench
 

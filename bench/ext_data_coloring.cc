@@ -21,7 +21,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "runtime/data_coloring.hh"
 #include "runtime/layout_backend.hh"
 #include "runtime/machine.hh"
@@ -59,10 +58,8 @@ chase(Machine &m, Addr start, unsigned hops)
 } // namespace
 
 int
-main()
+bench::ext_data_coloring(Report &report)
 {
-    memfwd::bench::Report report("ext_data_coloring");
-    setVerbose(false);
     header("Extension: conflict-miss removal via coloring and copying "
            "(16KB direct-mapped L1, 64B lines)",
            "dependent access chains — conflict misses serialize");
@@ -86,6 +83,7 @@ main()
         const unsigned hops =
             static_cast<unsigned>(30000 * benchScale());
         const Cycles before = chase(m, items[0], hops);
+        report.addCase("coloring/original", before, 0, 0);
 
         ForwardingBackend fwd(m);
         const ColoringResult cr = colorRelocate(
@@ -95,15 +93,13 @@ main()
         // Chase via stale pointers: the ring still stores the OLD
         // addresses, so every hop forwards.
         const Cycles stale = chase(m, items[0], hops);
+        report.addCase("coloring/stale", stale, 0, 0);
 
         // The optimizer rewrites the ring to the new homes (it knows
         // the mapping), then chases directly.
         for (unsigned i = 0; i < 8; ++i)
             m.access(Access::store(cr.new_addrs[i], 8, cr.new_addrs[(i + 1) % 8]));
         const Cycles updated = chase(m, cr.new_addrs[0], hops);
-
-        report.addCase("coloring/original", before, 0, 0, obs::MetricsNode{});
-        report.addCase("coloring/stale", stale, 0, 0, obs::MetricsNode{});
         report.addCase("coloring/updated", updated, 0, 0, m.metrics());
 
         std::printf("\npart 1: chasing a ring of 8 conflict-mapped "
@@ -154,13 +150,12 @@ main()
         const unsigned passes =
             static_cast<unsigned>(1500 * benchScale());
         const Cycles before = reuse(matrix, cache, passes);
+        report.addCase("copying/strided", before, 0, 0);
 
         ForwardingBackend fwd(m);
         const Addr buffer =
             copyTile(fwd, matrix, rows, row_bytes, cache, pool);
         const Cycles after = reuse(buffer, row_bytes, passes);
-
-        report.addCase("copying/strided", before, 0, 0, obs::MetricsNode{});
         report.addCase("copying/dense", after, 0, 0, m.metrics());
 
         // Functional check through the original (now forwarded) rows.

@@ -19,7 +19,6 @@
 
 #include "bench_util.hh"
 #include "coherence/mp_system.hh"
-#include "common/logging.hh"
 
 using namespace memfwd;
 using namespace memfwd::bench;
@@ -58,7 +57,7 @@ layoutLabel(Layout layout)
 }
 
 Outcome
-runCounters(Layout layout, unsigned iterations)
+runCounters(Report &report, Layout layout, unsigned iterations)
 {
     MpConfig cfg;
     cfg.processors = 4;
@@ -94,9 +93,8 @@ runCounters(Layout layout, unsigned iterations)
     for (unsigned p = 0; p < cfg.processors; ++p)
         sum += sys.load(0, recs[p], 8);
 
-    if (auto *rep = Report::current())
-        rep->addCase(layoutLabel(layout), sys.elapsed(), 0, sum,
-                     sys.metrics());
+    report.addCase(layoutLabel(layout), sys.elapsed(), 0, sum,
+                   sys.metrics());
 
     return {sys.elapsed(), sys.bus().stats().invalidations,
             sys.bus().stats().upgrades, sum, sys.forwardedRefs()};
@@ -105,19 +103,18 @@ runCounters(Layout layout, unsigned iterations)
 } // namespace
 
 int
-main()
+bench::ext_false_sharing(Report &report)
 {
-    memfwd::bench::Report report("ext_false_sharing");
-    setVerbose(false);
     header("Extension: false-sharing repair via safe relocation "
            "(4 processors, 64B lines)",
            "four per-processor counters packed in one line vs. "
            "relocated to distinct lines");
 
     const unsigned iters = static_cast<unsigned>(50000 * benchScale());
-    const Outcome packed = runCounters(Layout::packed, iters);
-    const Outcome stale = runCounters(Layout::split_stale, iters);
-    const Outcome updated = runCounters(Layout::split_updated, iters);
+    const Outcome packed = runCounters(report, Layout::packed, iters);
+    const Outcome stale = runCounters(report, Layout::split_stale, iters);
+    const Outcome updated =
+        runCounters(report, Layout::split_updated, iters);
 
     if (packed.sum != stale.sum || stale.sum != updated.sum) {
         std::printf("CHECKSUM MISMATCH\n");

@@ -128,12 +128,19 @@ struct CaseResult
     std::string name;
     bool recovered;
     Cycles cycles;
-    std::uint64_t faults_fired;
     std::string note;
 };
 
+struct Tally
+{
+    bool all_recovered = true;
+    std::uint64_t fired = 0;
+};
+
+/** Print @p r, record it (checksum: 1 when recovered) and tally it. */
 void
-printCase(const CaseResult &r, Cycles clean_cycles)
+finishCase(Report &report, Tally &tally, const CaseResult &r,
+           const FaultInjector &faults, Cycles clean_cycles)
 {
     const double overhead =
         clean_cycles == 0
@@ -143,8 +150,11 @@ printCase(const CaseResult &r, Cycles clean_cycles)
     std::printf("%-22s %-10s %14s %8.2f%% %8llu   %s\n", r.name.c_str(),
                 r.recovered ? "recovered" : "FAILED",
                 withCommas(r.cycles).c_str(), overhead,
-                static_cast<unsigned long long>(r.faults_fired),
+                static_cast<unsigned long long>(faults.fired()),
                 r.note.c_str());
+    report.addCase(r.name, r.cycles, 0, r.recovered ? 1 : 0);
+    tally.all_recovered = tally.all_recovered && r.recovered;
+    tally.fired += faults.fired();
 }
 
 bool
@@ -164,10 +174,8 @@ auditClean(const Machine &machine, std::string &note)
 } // namespace
 
 int
-main()
+bench::ext_fault_recovery(Report &report)
 {
-    memfwd::bench::Report report("ext_fault_recovery");
-    setVerbose(false);
     const unsigned n_nodes =
         std::max(64u, static_cast<unsigned>(2000 * benchScale()));
 
@@ -179,17 +187,18 @@ main()
     Scenario clean = buildScenario(n_nodes, CyclePolicy::quarantine);
     std::uint64_t clean_checksum = 0;
     const Cycles clean_cycles = traverse(clean, clean_checksum);
+    report.addCase("clean", clean_cycles, 0, clean_checksum);
     std::printf("clean traversal: %u nodes, %s cycles, checksum %llu\n\n",
                 n_nodes, withCommas(clean_cycles).c_str(),
                 static_cast<unsigned long long>(clean_checksum));
     std::printf("%-22s %-10s %14s %9s %8s   %s\n", "fault", "outcome",
                 "cycles", "overhead", "fired", "notes");
 
-    std::vector<CaseResult> results;
+    Tally tally;
 
     // ----- bitflip@resolve: forged forwarding bit ----------------------
     {
-        CaseResult r{"bitflip@resolve", false, 0, 0, ""};
+        CaseResult r{"bitflip@resolve", false, 0, ""};
         Scenario s = buildScenario(n_nodes, CyclePolicy::quarantine);
         FaultInjector faults(1);
         faults.armSpec("bitflip@resolve:nth=3");
@@ -207,14 +216,12 @@ main()
         } catch (const std::exception &e) {
             r.note = std::string("uncaught: ") + e.what();
         }
-        r.faults_fired = faults.fired();
-        printCase(r, clean_cycles);
-        results.push_back(r);
+        finishCase(report, tally, r, faults, clean_cycles);
     }
 
     // ----- truncate@resolve: silently shortened chain ------------------
     {
-        CaseResult r{"truncate@resolve", false, 0, 0, ""};
+        CaseResult r{"truncate@resolve", false, 0, ""};
         Scenario s = buildScenario(n_nodes, CyclePolicy::quarantine);
         FaultInjector faults(2);
         faults.armSpec("truncate@resolve:nth=5");
@@ -230,14 +237,12 @@ main()
         } catch (const std::exception &e) {
             r.note = std::string("uncaught: ") + e.what();
         }
-        r.faults_fired = faults.fired();
-        printCase(r, clean_cycles);
-        results.push_back(r);
+        finishCase(report, tally, r, faults, clean_cycles);
     }
 
     // ----- cycle@resolve: chain redirected into a loop -----------------
     {
-        CaseResult r{"cycle@resolve", false, 0, 0, ""};
+        CaseResult r{"cycle@resolve", false, 0, ""};
         Scenario s = buildScenario(n_nodes, CyclePolicy::quarantine);
         FaultInjector faults(3);
         faults.armSpec("cycle@resolve:nth=7");
@@ -257,14 +262,12 @@ main()
         } catch (const std::exception &e) {
             r.note = std::string("uncaught: ") + e.what();
         }
-        r.faults_fired = faults.fired();
-        printCase(r, clean_cycles);
-        results.push_back(r);
+        finishCase(report, tally, r, faults, clean_cycles);
     }
 
     // ----- allocfail@alloc: allocator fails the Nth request ------------
     {
-        CaseResult r{"allocfail@alloc", false, 0, 0, ""};
+        CaseResult r{"allocfail@alloc", false, 0, ""};
         Scenario s = buildScenario(8, CyclePolicy::abort);
         FaultInjector faults(4);
         faults.armSpec("allocfail@alloc:nth=2");
@@ -291,14 +294,12 @@ main()
         } catch (const std::exception &e) {
             r.note = std::string("uncaught: ") + e.what();
         }
-        r.faults_fired = faults.fired();
-        printCase(r, 0);
-        results.push_back(r);
+        finishCase(report, tally, r, faults, 0);
     }
 
     // ----- allocfail@relocate: failure mid-relocation, rollback --------
     {
-        CaseResult r{"allocfail@relocate", false, 0, 0, ""};
+        CaseResult r{"allocfail@relocate", false, 0, ""};
         Scenario s = buildScenario(8, CyclePolicy::abort);
         const Addr obj = s.alloc->alloc(8 * wordBytes);
         for (unsigned i = 0; i < 8; ++i)
@@ -327,23 +328,7 @@ main()
         } catch (const std::exception &e) {
             r.note = std::string("uncaught: ") + e.what();
         }
-        r.faults_fired = faults.fired();
-        printCase(r, 0);
-        results.push_back(r);
-    }
-
-    bool all_recovered = true;
-    std::uint64_t total_fired = 0;
-    for (const auto &r : results) {
-        all_recovered = all_recovered && r.recovered;
-        total_fired += r.faults_fired;
-    }
-
-    report.addCase("clean", clean_cycles, 0, clean_checksum,
-                   obs::MetricsNode{});
-    for (const auto &r : results) {
-        report.addCase(r.name, r.cycles, 0, r.recovered ? 1 : 0,
-                       obs::MetricsNode{});
+        finishCase(report, tally, r, faults, 0);
     }
 
     std::printf("\ntakeaway: %llu injected faults, %s.  Detection rides "
@@ -351,9 +336,9 @@ main()
                 "pays nothing; a quarantined chain costs one accurate "
                 "check plus a pinned lookup, and a failed relocation "
                 "rolls back to a bit-identical heap.\n",
-                static_cast<unsigned long long>(total_fired),
-                all_recovered ? "every one recovered, repaired, or "
-                                "rolled back"
-                              : "SOME NOT RECOVERED");
-    return all_recovered ? 0 : 1;
+                static_cast<unsigned long long>(tally.fired),
+                tally.all_recovered ? "every one recovered, repaired, or "
+                                      "rolled back"
+                                    : "SOME NOT RECOVERED");
+    return tally.all_recovered ? 0 : 1;
 }

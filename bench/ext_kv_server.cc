@@ -24,13 +24,10 @@
  * lane gates on host.refs_per_sec via bench_diff --require-metric.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "runtime/layout_backend.hh"
 #include "runtime/machine.hh"
 #include "workloads/kv_server.hh"
@@ -41,25 +38,13 @@ using namespace memfwd::bench;
 namespace
 {
 
-struct CaseResult
+/**
+ * Run the trace under one backend, print its row and record it as
+ * @p label; returns the checksum.
+ */
+std::uint64_t
+runKv(Report &report, const std::string &label, BackendKind kind, bool ftc)
 {
-    std::string label;
-    Cycles cycles = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t checksum = 0;
-    std::uint64_t refs = 0;
-    KvStats kv;
-    LayoutBackendStats backend;
-    double hops_or_derefs_per_ref = 0.0;
-    double wall_ms = 0.0;
-};
-
-CaseResult
-runKv(const std::string &label, BackendKind kind, bool ftc)
-{
-    CaseResult res;
-    res.label = label;
-
     MachineConfig mc = machineAt(64);
     mc.backend(kind);
     if (ftc)
@@ -68,99 +53,74 @@ runKv(const std::string &label, BackendKind kind, bool ftc)
     WorkloadParams params;
     params.scale = benchScale();
 
-    const auto t0 = std::chrono::steady_clock::now();
     Machine machine(mc);
     KvServer kv(params);
     WorkloadVariant variant;
     variant.layout_opt = true; // online compaction where supported
     kv.run(machine, variant);
-    res.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
 
-    res.cycles = machine.cycles();
-    res.instructions = machine.cpu().instructions();
-    res.checksum = kv.checksum();
-    res.refs = machine.refsExecuted();
-    res.kv = kv.kvStats();
-    res.backend = machine.backendStats();
-
+    const KvStats &st = kv.kvStats();
+    const LayoutBackendStats backend = machine.backendStats();
+    const auto ratio = [](double num, std::uint64_t den) {
+        return den ? num / double(den) : 0.0;
+    };
     // The locality tax of each mechanism, per mediated get reference:
     // forwarding pays chain hops on refs made stale by compaction,
     // handles pays one table deref per resolve.
-    if (kind == BackendKind::handles) {
-        res.hops_or_derefs_per_ref =
-            res.kv.get_refs
-                ? double(res.backend.handle_derefs) / double(res.kv.get_refs)
-                : 0.0;
-    } else {
-        res.hops_or_derefs_per_ref =
-            res.kv.get_refs ? double(res.kv.hops_total) /
-                                  double(res.kv.get_refs)
-                            : 0.0;
-    }
-    return res;
+    const double tax = ratio(kind == BackendKind::handles
+                                 ? double(backend.handle_derefs)
+                                 : double(st.hops_total),
+                             st.get_refs);
+    const double cyc_per_op = ratio(double(machine.cycles()), st.ops);
+    const double hit_rate = ratio(double(st.hits), st.gets);
+    const double frag_avg = ratio(st.frag_sum, st.frag_samples);
+
+    std::printf("%-15s %14s %9.1f %7.1f%% %10.4f %6.1f%% %6llu\n",
+                label.c_str(), withCommas(machine.cycles()).c_str(),
+                cyc_per_op, 100.0 * hit_rate, tax, 100.0 * frag_avg,
+                static_cast<unsigned long long>(st.compacted_objects));
+    report.addCase(label, machine.cycles(), machine.cpu().instructions(),
+                   kv.checksum(), obs::MetricsNode{},
+                   machine.refsExecuted(),
+                   {{"cycles_per_op", cyc_per_op},
+                    {"hops_or_derefs_per_ref", tax},
+                    {"fragmentation", frag_avg},
+                    {"fragmentation_final", st.frag_final},
+                    {"hit_rate", hit_rate},
+                    {"evictions", double(st.evictions)},
+                    {"compacted_objects", double(st.compacted_objects)},
+                    {"relocation_refusals", double(backend.refusals)}});
+    return kv.checksum();
 }
 
 } // namespace
 
 int
-main()
+bench::ext_kv_server(Report &report)
 {
-    memfwd::bench::Report report("ext_kv_server");
-    setVerbose(false);
-
     header("Extension: KV/session cache under three layout backends",
            "same Zipf get/put/expire trace; forwarding vs handle "
            "indirection vs no relocation");
 
-    const std::vector<CaseResult> results = {
-        runKv("none", BackendKind::none, false),
-        runKv("forwarding", BackendKind::forwarding, false),
-        runKv("forwarding_ftc", BackendKind::forwarding, true),
-        runKv("handles", BackendKind::handles, false),
-    };
-
     std::printf("%-15s %14s %9s %8s %10s %7s %6s\n", "backend", "cycles",
                 "cyc/op", "hit%", "tax/ref", "frag%", "moved");
-    bool ok = true;
-    for (const CaseResult &r : results) {
-        const double cyc_per_op =
-            r.kv.ops ? double(r.cycles) / double(r.kv.ops) : 0.0;
-        const double hit_rate =
-            r.kv.gets ? double(r.kv.hits) / double(r.kv.gets) : 0.0;
-        const double frag_avg =
-            r.kv.frag_samples ? r.kv.frag_sum / double(r.kv.frag_samples)
-                              : 0.0;
-
-        std::printf("%-15s %14s %9.1f %7.1f%% %10.4f %6.1f%% %6llu\n",
-                    r.label.c_str(), withCommas(r.cycles).c_str(),
-                    cyc_per_op, 100.0 * hit_rate,
-                    r.hops_or_derefs_per_ref, 100.0 * frag_avg,
-                    static_cast<unsigned long long>(
-                        r.kv.compacted_objects));
-
-        ok = ok && r.checksum == results.front().checksum;
-
-        report.addCase(
-            r.label, r.cycles, r.instructions, r.checksum,
-            obs::MetricsNode{}, r.wall_ms, 1, r.refs,
-            {{"cycles_per_op", cyc_per_op},
-             {"hops_or_derefs_per_ref", r.hops_or_derefs_per_ref},
-             {"fragmentation", frag_avg},
-             {"fragmentation_final", r.kv.frag_final},
-             {"hit_rate", hit_rate},
-             {"evictions", double(r.kv.evictions)},
-             {"compacted_objects", double(r.kv.compacted_objects)},
-             {"relocation_refusals", double(r.backend.refusals)}});
-    }
+    const std::uint64_t checksum =
+        runKv(report, "none", BackendKind::none, false);
+    bool ok =
+        runKv(report, "forwarding", BackendKind::forwarding, false) ==
+        checksum;
+    ok = runKv(report, "forwarding_ftc", BackendKind::forwarding, true) ==
+             checksum &&
+         ok;
+    ok = runKv(report, "handles", BackendKind::handles, false) == checksum &&
+         ok;
 
     std::printf("\ntakeaway: the three safety mechanisms answer "
                 "identically (checksum %llu) and differ only in what "
                 "they pay — handles taxes every reference, forwarding "
                 "taxes only the references a relocation made stale, and "
                 "refusing to relocate leaves the fragmentation.%s\n",
-                static_cast<unsigned long long>(results.front().checksum),
+                static_cast<unsigned long long>(checksum),
                 ok ? "" : "  CHECKSUM MISMATCH — ACCEPTANCE FAILED");
     return ok ? 0 : 1;
 }

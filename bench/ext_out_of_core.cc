@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "mem/page_cache.hh"
 #include "runtime/layout_backend.hh"
 #include "runtime/list_linearize.hh"
@@ -64,10 +63,8 @@ traverse(Machine &m, Addr head)
 } // namespace
 
 int
-main()
+bench::ext_out_of_core(Report &report)
 {
-    memfwd::bench::Report report("ext_out_of_core");
-    setVerbose(false);
     header("Extension: out-of-core page locality "
            "(4KB pages, 64-page resident set)",
            "page faults for a full list traversal, before and after "
@@ -100,6 +97,7 @@ main()
     const std::uint64_t sum_before = traverse(m, head);
     const std::uint64_t faults_before = paging.faults();
     const std::uint64_t pages_before = paging.pagesTouched();
+    report.addCase("scattered/page_faults", faults_before, 0, sum_before);
 
     // The optimizer's own work is not metered.
     m.tracer().removeSink(&sink);
@@ -112,16 +110,13 @@ main()
     const std::uint64_t faults_after = paging.faults();
     const std::uint64_t pages_after = paging.pagesTouched();
     m.tracer().removeSink(&sink);
+    report.addCase("linearized/page_faults", faults_after, 0, sum_after,
+                   m.metrics());
 
     if (sum_before != sum_after) {
         std::printf("CHECKSUM MISMATCH\n");
         return 1;
     }
-
-    report.addCase("scattered/page_faults", faults_before, 0, sum_before,
-                   obs::MetricsNode{});
-    report.addCase("linearized/page_faults", faults_after, 0, sum_after,
-                   m.metrics());
 
     std::printf("\n%u-node list, %s bytes of payload data\n", n,
                 withCommas(std::uint64_t(n) * node_bytes).c_str());

@@ -29,13 +29,11 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "core/fault_injector.hh"
 #include "runtime/heap_verifier.hh"
 #include "runtime/machine.hh"
@@ -175,11 +173,8 @@ violationCount(const RunResult &r)
 } // namespace
 
 int
-main()
+bench::ext_temporal_safety(Report &report)
 {
-    memfwd::bench::Report report("ext_temporal_safety");
-    setVerbose(false);
-
     header("Extension: temporal safety via quarantining free()",
            "dangling references forward into quarantine and trap as "
            "classified temporal violations");
@@ -189,12 +184,7 @@ main()
     // ----- part 1: injected-bug corpus ---------------------------------
     const unsigned n_pairs =
         std::max(16u, static_cast<unsigned>(600 * benchScale()));
-    const auto host_t0 = std::chrono::steady_clock::now();
     const CorpusResult corpus = runCorpus(n_pairs);
-    const double corpus_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - host_t0)
-            .count();
 
     const double uaf_rate =
         corpus.uaf_probes
@@ -227,7 +217,7 @@ main()
 
     report.addCase("injected_corpus", corpus.cycles, 0,
                    corpus.uaf_detected + corpus.oob_detected,
-                   obs::MetricsNode{}, corpus_ms, 1, corpus.refs,
+                   obs::MetricsNode{}, corpus.refs,
                    {{"detection_rate", rate},
                     {"uaf_detection_rate", uaf_rate},
                     {"oob_detection_rate", oob_rate},
@@ -238,20 +228,12 @@ main()
                 "cycles (off)", "cycles (on)", "overhead", "viol",
                 "checksum");
     for (const std::string &name : workloadNames()) {
-        RunConfig cfg;
-        cfg.workload = name;
-        cfg.params.scale = benchScale();
-        cfg.variant.layout_opt = true; // forwarded path exercised
-        cfg.machine = machineAt(64);
-
-        const auto wl_t0 = std::chrono::steady_clock::now();
-        const RunResult off = runWorkload(cfg);
+        // L: the forwarded path is exercised.  The plane-off run is
+        // the comparison point, not a case of its own.
+        RunConfig cfg = standardConfig(name, 64, true);
+        const RunResult off = simulate(cfg);
         cfg.machine.metadataPlane(true);
-        const RunResult on = runWorkload(cfg);
-        const double wl_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - wl_t0)
-                .count();
+        const RunResult on = runCase("clean_" + name, cfg);
 
         const std::uint64_t violations = violationCount(on);
         const double overhead_pct =
@@ -270,11 +252,9 @@ main()
                     static_cast<unsigned long long>(on.checksum),
                     clean ? "" : "  MISMATCH");
 
-        report.addCase("clean_" + name, on.cycles, on.instructions,
-                       on.checksum, obs::MetricsNode{}, wl_ms, 1, on.refs,
-                       {{"detection_rate", 1.0},
-                        {"false_positives", double(violations)},
-                        {"cycle_overhead_pct", overhead_pct}});
+        report.addFields({{"detection_rate", 1.0},
+                          {"false_positives", double(violations)},
+                          {"cycle_overhead_pct", overhead_pct}});
     }
 
     std::printf("\ntakeaway: free() as relocation makes temporal bugs "

@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 
 using namespace memfwd;
 using namespace memfwd::bench;
@@ -21,44 +20,27 @@ using namespace memfwd::bench;
 namespace
 {
 
-struct TlbRun
-{
-    Cycles cycles;
-    std::uint64_t tlb_misses;
-    std::uint64_t checksum;
-};
-
-TlbRun
+RunResult
 runWithTlb(const std::string &workload, bool layout_opt)
 {
-    setVerbose(false);
-    RunConfig cfg;
-    cfg.workload = workload;
-    cfg.params.scale = benchScale();
-    cfg.machine = machineAt(64);
+    RunConfig cfg = standardConfig(workload, 64, layout_opt);
     cfg.machine.tlb.enabled = true;
     cfg.machine.tlb.entries = 64;
     cfg.machine.tlb.miss_penalty = 30;
-    cfg.variant.layout_opt = layout_opt;
+    return runCase(workload + "/tlb/" + (layout_opt ? "L" : "N"), cfg);
+}
 
-    Machine machine(cfg.machine);
-    auto w = makeWorkload(cfg.workload, cfg.params);
-    w->run(machine, cfg.variant);
-
-    if (auto *rep = Report::current()) {
-        rep->addCase(workload + "/tlb/" + (layout_opt ? "L" : "N"),
-                     machine.cycles(), machine.cpu().instructions(),
-                     w->checksum(), machine.metrics());
-    }
-    return {machine.cycles(), machine.tlb().misses(), w->checksum()};
+std::uint64_t
+tlbMisses(const RunResult &r)
+{
+    return r.metrics.findChild("tlb")->counterValue("misses");
 }
 
 } // namespace
 
 int
-main()
+bench::ext_tlb_reach(Report &)
 {
-    memfwd::bench::Report report("ext_tlb_reach");
     header("Extension: TLB reach (64-entry TLB, 4KB pages, 30-cycle "
            "walks; 64B lines)",
            "linearization compresses the page footprint, not just the "
@@ -69,16 +51,16 @@ main()
 
     for (const std::string name :
          {"health", "mst", "radiosity", "vis"}) {
-        const TlbRun n = runWithTlb(name, false);
-        const TlbRun l = runWithTlb(name, true);
+        const RunResult n = runWithTlb(name, false);
+        const RunResult l = runWithTlb(name, true);
         if (n.checksum != l.checksum) {
             std::printf("CHECKSUM MISMATCH for %s\n", name.c_str());
             return 1;
         }
         std::printf("%-10s %16s %16s %11.1fx %15.2fx\n", name.c_str(),
-                    withCommas(n.tlb_misses).c_str(),
-                    withCommas(l.tlb_misses).c_str(),
-                    double(n.tlb_misses) / double(l.tlb_misses),
+                    withCommas(tlbMisses(n)).c_str(),
+                    withCommas(tlbMisses(l)).c_str(),
+                    double(tlbMisses(n)) / double(tlbMisses(l)),
                     double(n.cycles) / double(l.cycles));
     }
 

@@ -20,9 +20,8 @@ using namespace memfwd;
 using namespace memfwd::bench;
 
 int
-main()
+bench::fig5_exec_breakdown(Report &)
 {
-    memfwd::bench::Report report("fig5_exec_breakdown");
     header("Figure 5: execution time of locality optimizations",
            "bars normalized to N @ 32B = 100; lower is better");
 

@@ -7,8 +7,6 @@
  */
 
 #include <cstdio>
-#include <map>
-#include <utility>
 
 #include "bench_util.hh"
 
@@ -16,20 +14,8 @@ using namespace memfwd;
 using namespace memfwd::bench;
 
 int
-main()
+bench::fig6_misses_bandwidth(Report &)
 {
-    memfwd::bench::Report report("fig6_misses_bandwidth");
-
-    // One run per configuration, reused by both figure panels (and
-    // recorded once in the report).
-    std::map<std::pair<std::string, unsigned>,
-             std::pair<RunResult, RunResult>>
-        results;
-    for (const auto &name : figure5Workloads())
-        for (unsigned line : {32u, 64u, 128u})
-            results[{name, line}] = {run(name, line, false),
-                                     run(name, line, true)};
-
     header("Figure 6(a): load D-cache misses (partial/full)",
            "normalized to N @ 32B = 100");
 
@@ -38,7 +24,8 @@ main()
         std::printf("\n%s\n", name.c_str());
         double norm = 0;
         for (unsigned line : {32u, 64u, 128u}) {
-            const auto &[n, l] = results[{name, line}];
+            const RunResult n = run(name, line, false);
+            const RunResult l = run(name, line, true);
             const auto misses = [](const RunResult &r) {
                 return r.load_partial_misses + r.load_full_misses;
             };
@@ -75,7 +62,9 @@ main()
         std::printf("\n%s\n", name.c_str());
         double norm = 0;
         for (unsigned line : {32u, 64u, 128u}) {
-            const auto &[n, l] = results[{name, line}];
+            // Panel (a) recorded these runs; read them back unrecorded.
+            const RunResult n = simulate(standardConfig(name, line, false));
+            const RunResult l = simulate(standardConfig(name, line, true));
             if (norm == 0)
                 norm = double(n.l1_l2_bytes + n.l2_mem_bytes);
             const double scale = 100.0 / norm;

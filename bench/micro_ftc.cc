@@ -21,7 +21,6 @@
 
 #include "bench_util.hh"
 
-#include "common/logging.hh"
 #include "runtime/machine.hh"
 #include "runtime/relocation.hh"
 
@@ -56,8 +55,8 @@ struct CaseResult
 };
 
 CaseResult
-runChains(const std::string &label, const MachineConfig &mc,
-          unsigned objects)
+runChains(Report &report, const std::string &label,
+          const MachineConfig &mc, unsigned objects)
 {
     Machine m(mc);
 
@@ -101,20 +100,16 @@ runChains(const std::string &label, const MachineConfig &mc,
     res.checksum = checksum;
     res.chains_collapsed = st.chains_collapsed;
 
-    if (auto *rep = Report::current()) {
-        rep->addCase(label, res.cycles, m.cpu().instructions(), checksum,
-                     m.metrics());
-    }
+    report.addCase(label, res.cycles, m.cpu().instructions(), checksum,
+                   m.metrics(), m.refsExecuted());
     return res;
 }
 
 } // namespace
 
 int
-main()
+bench::micro_ftc(Report &report)
 {
-    setVerbose(false);
-    memfwd::bench::Report report("micro_ftc");
     header("FTC + chain collapsing: 16-deep chains, stale references",
            "mean hops walked per forwarded reference; off ~ chain "
            "depth, both must amortize the fill walk");
@@ -142,7 +137,7 @@ main()
                 "hit rate", "ref cycles", "collapsed");
     std::vector<CaseResult> results;
     for (const Config &c : configs) {
-        results.push_back(runChains(c.label, c.mc, objects));
+        results.push_back(runChains(report, c.label, c.mc, objects));
         const CaseResult &r = results.back();
         std::printf("%-14s %10.3f %9.1f%% %12s %10s\n", c.label,
                     r.mean_hops, 100.0 * r.ftc_hit_rate,

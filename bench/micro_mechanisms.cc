@@ -142,8 +142,10 @@ BENCHMARK(BM_Relocate64WordsAnalyzed)
 
 /**
  * Console output as usual, plus each run recorded into the bench
- * Report.  Host wall time only — `cycles` stays 0, which marks these
- * cases non-deterministic so scripts/bench_diff.py skips them.
+ * Report.  Host wall time only (the time google-benchmark spent on the
+ * run, iteration-count search included) — `cycles` stays 0, which
+ * marks these cases non-deterministic so scripts/bench_diff.py skips
+ * them.
  */
 class ReportingReporter : public benchmark::ConsoleReporter
 {
@@ -154,12 +156,8 @@ class ReportingReporter : public benchmark::ConsoleReporter
         for (const Run &run : runs) {
             if (run.error_occurred)
                 continue;
-            if (auto *rep = memfwd::bench::Report::current()) {
-                rep->addCase(run.benchmark_name(), 0, 0, 0,
-                             memfwd::obs::MetricsNode{},
-                             run.GetAdjustedRealTime() / 1e6,
-                             static_cast<unsigned>(run.iterations));
-            }
+            if (auto *rep = memfwd::bench::Report::current())
+                rep->addCase(run.benchmark_name(), 0, 0, 0);
         }
         benchmark::ConsoleReporter::ReportRuns(runs);
     }

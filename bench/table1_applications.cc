@@ -14,9 +14,8 @@ using namespace memfwd;
 using namespace memfwd::bench;
 
 int
-main()
+bench::table1_applications(Report &)
 {
-    memfwd::bench::Report report("table1_applications");
     header("Table 1: Applications and optimizations",
            "Space overhead = virtual memory consumed by relocation "
            "targets in the L run");

@@ -13,7 +13,7 @@ else
     GEN=""
 fi
 
-# Each bench binary writes BENCH_<name>.json here (bench_util.cc);
+# Each bench writes BENCH_<name>.json here (bench/bench_util.cc);
 # scripts/bench_diff.py compares two such directories.
 MEMFWD_BENCH_OUT=${MEMFWD_BENCH_OUT:-bench-results}
 export MEMFWD_BENCH_OUT
@@ -23,11 +23,9 @@ cmake -B "$BUILD" $GEN
 cmake --build "$BUILD" -j "$(nproc 2>/dev/null || echo 2)"
 ctest --test-dir "$BUILD" --output-on-failure
 
-# Only regular executables: the build tree also leaves CMakeFiles/
-# directories here, and directories pass a bare -x test.
-for b in "$BUILD"/bench/*; do
-    if [ -f "$b" ] && [ -x "$b" ]; then "$b"; fi
-done
+# Every reproduction bench in one process, then the microbenches.
+"$BUILD"/bench/memfwd_bench
+"$BUILD"/bench/micro_mechanisms
 
 for e in "$BUILD"/examples/*; do
     if [ -f "$e" ] && [ -x "$e" ]; then "$e"; fi

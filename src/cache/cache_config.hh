@@ -51,6 +51,8 @@ struct CacheConfig
     ReplacementPolicy replacement = ReplacementPolicy::lru;
 
     unsigned numSets() const { return size_bytes / (assoc * line_bytes); }
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** How an access was satisfied — drives Figure 6(a)'s classification. */

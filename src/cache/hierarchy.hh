@@ -47,6 +47,8 @@ struct HierarchyConfig
         l1d.line_bytes = bytes;
         l2.line_bytes = bytes;
     }
+
+    bool operator==(const HierarchyConfig &) const = default;
 };
 
 /** Outcome of a timed data reference through the hierarchy. */

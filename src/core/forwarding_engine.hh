@@ -189,6 +189,8 @@ struct ForwardingConfig
 
     /** Minimum walked hops before the chain head is rewritten. */
     unsigned collapse_threshold = 2;
+
+    bool operator==(const ForwardingConfig &) const = default;
 };
 
 /** Statistics the engine keeps (Figure 10(c) and friends). */

@@ -49,6 +49,8 @@ struct OooParams
      * is full of outstanding misses.
      */
     unsigned store_buffer = 16;
+
+    bool operator==(const OooParams &) const = default;
 };
 
 } // namespace memfwd

@@ -29,6 +29,8 @@ struct MainMemoryConfig
      * bandwidth: bytesPerCycle bytes can stream per cycle.
      */
     unsigned bytesPerCycle = 8;
+
+    bool operator==(const MainMemoryConfig &) const = default;
 };
 
 /** Flat DRAM with fixed latency, limited bandwidth, and byte counters. */

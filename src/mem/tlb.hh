@@ -34,6 +34,8 @@ struct TlbConfig
     unsigned entries = 64;
     unsigned page_bytes = 4096;
     Cycles miss_penalty = 30; ///< page-table walk cost
+
+    bool operator==(const TlbConfig &) const = default;
 };
 
 /** Fully-associative LRU translation cache. */

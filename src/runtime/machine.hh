@@ -82,6 +82,8 @@ struct QuarantineConfig
     Cycles retry_backoff_base = 64;
 
     QuarantinePolicy policy = QuarantinePolicy::watermark;
+
+    bool operator==(const QuarantineConfig &) const = default;
 };
 
 /**
@@ -283,6 +285,8 @@ struct MachineConfig
         backend_kind = kind;
         return *this;
     }
+
+    bool operator==(const MachineConfig &) const = default;
 };
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,5 @@
 #include "workloads/driver.hh"
 
-#include "common/logging.hh"
-
 namespace memfwd
 {
 
@@ -56,24 +54,6 @@ runWorkload(const RunConfig &cfg)
     r.metrics = machine.metrics();
 
     return r;
-}
-
-RunResult
-runBestPrefetch(RunConfig cfg, const std::vector<unsigned> &block_sizes)
-{
-    memfwd_assert(!block_sizes.empty(), "need at least one block size");
-    RunResult best;
-    bool first = true;
-    for (unsigned b : block_sizes) {
-        cfg.variant.prefetch = true;
-        cfg.variant.prefetch_block = b;
-        RunResult r = runWorkload(cfg);
-        if (first || r.cycles < best.cycles) {
-            best = r;
-            first = false;
-        }
-    }
-    return best;
 }
 
 } // namespace memfwd

@@ -33,6 +33,9 @@ struct RunConfig
      * the run (not owned).  Leave null for untraced (zero-cost) runs.
      */
     obs::TraceSink *trace_sink = nullptr;
+
+    /** Memberwise, so a bench memo keyed on it sees every field. */
+    bool operator==(const RunConfig &) const = default;
 };
 
 /** All metrics from one run. */
@@ -99,15 +102,6 @@ struct RunResult
 
 /** Run one configuration to completion. */
 RunResult runWorkload(const RunConfig &cfg);
-
-/**
- * Run the prefetch variant across prefetch block sizes in
- * @p block_sizes and return the best-performing result, as the paper
- * reports "the block size that performed the best for each case"
- * (Section 5.2).
- */
-RunResult runBestPrefetch(RunConfig cfg,
-                          const std::vector<unsigned> &block_sizes);
 
 } // namespace memfwd
 

@@ -53,6 +53,8 @@ struct WorkloadVariant
      * (Section 5.3: "arbitrarily set to 50"); only VIS reads it.
      */
     unsigned linearize_threshold = 50;
+
+    bool operator==(const WorkloadVariant &) const = default;
 };
 
 /** Size/seed parameters. scale=1 is the default benchmark size. */
@@ -60,6 +62,8 @@ struct WorkloadParams
 {
     std::uint64_t seed = 42;
     double scale = 1.0;
+
+    bool operator==(const WorkloadParams &) const = default;
 };
 
 /** One reproduced application. */

@@ -141,8 +141,9 @@ TEST_P(WorkloadDifferential, AcceleratedRunIsArchitecturallyIdentical)
 
     // When the run forwarded at all, the FTC must have been exercised.
     const ForwardingStats &fs = m_accel.forwarding().stats();
-    if (m_base.loadsForwarded() + m_base.storesForwarded() > 0)
+    if (m_base.loadsForwarded() + m_base.storesForwarded() > 0) {
         EXPECT_GT(fs.ftc_hits + fs.ftc_misses, 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -205,8 +206,9 @@ TEST_P(FastForwardDifferential, MatchesTimedRunArchitecturally)
     // fast-forward carries no such guarantee: skipping the build phase
     // also skips its cache warm-up, so the still-timed kernel starts
     // cold and can legitimately cost *more* total cycles.
-    if (region == "all")
+    if (region == "all") {
         EXPECT_LT(m_ff.cycles(), m_timed.cycles());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -257,8 +257,9 @@ TEST_P(ChainInterleavingFuzz, QuarantinedCyclesNeverDerailCleanChains)
             // chain: clean objects must match the model; poisoned ones
             // must simply keep resolving without throwing.
             const AccessResult r = m.access(Access::load(head, 8));
-            if (!poisoned[k])
+            if (!poisoned[k]) {
                 EXPECT_EQ(r.value, model[k]) << "object " << k;
+            }
         } else if (pick < 65) {
             if (!poisoned[k]) {
                 const std::uint64_t v = rng.next();
@@ -291,13 +292,15 @@ TEST_P(ChainInterleavingFuzz, QuarantinedCyclesNeverDerailCleanChains)
     // one resolves from its pin without throwing.
     for (unsigned k = 0; k < n_objects; ++k) {
         const AccessResult r = m.access(Access::load(base + k * 0x80, 8));
-        if (!poisoned[k])
+        if (!poisoned[k]) {
             EXPECT_EQ(r.value, model[k]) << "object " << k;
+        }
     }
     const auto &st = m.forwarding().stats();
     EXPECT_EQ(st.cycles_quarantined, cycles_made);
-    if (cycles_made > 0)
+    if (cycles_made > 0) {
         EXPECT_GE(st.cycles_detected, cycles_made);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

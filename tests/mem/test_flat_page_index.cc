@@ -54,9 +54,10 @@ differential(const std::vector<Addr> &keys)
     for (const auto &[k, v] : ref) {
         (void)v;
         for (Addr miss : {k + 1, k - 1, k ^ (Addr(1) << 40)}) {
-            if (!ref.count(miss) && miss != FlatPageIndex::empty_key)
+            if (!ref.count(miss) && miss != FlatPageIndex::empty_key) {
                 EXPECT_EQ(index.find(miss), FlatPageIndex::no_value)
                     << "phantom key " << miss;
+            }
         }
     }
 

@@ -81,25 +81,34 @@ TEST(Driver, PrefetchRunsIssuePrefetches)
     EXPECT_GT(r.prefetches_issued, 0u);
 }
 
-TEST(Driver, BestPrefetchPicksFastest)
+TEST(Driver, RunConfigEqualitySeesNestedFields)
 {
-    setVerbose(false);
-    RunConfig cfg = tinyConfig("vis");
-    cfg.variant.layout_opt = true;
-    const RunResult best = runBestPrefetch(cfg, {1, 2, 4});
-    RunResult worst;
-    bool first = true;
-    for (unsigned b : {1u, 2u, 4u}) {
-        cfg.variant.prefetch = true;
-        cfg.variant.prefetch_block = b;
-        const RunResult r = runWorkload(cfg);
-        if (first || r.cycles > worst.cycles) {
-            worst = r;
-            first = false;
-        }
-    }
-    EXPECT_LE(best.cycles, worst.cycles);
-    EXPECT_TRUE(best.variant.prefetch);
+    // The bench runner memoizes on RunConfig equality, so a field
+    // nested deep in the machine config must still tell configs apart.
+    const RunConfig base = tinyConfig("vis");
+    EXPECT_EQ(base, tinyConfig("vis"));
+
+    RunConfig c = base;
+    c.machine.hierarchy.l2.replacement = ReplacementPolicy::fifo;
+    EXPECT_NE(c, base);
+    c = base;
+    c.machine.hierarchy.memory.latency += 1;
+    EXPECT_NE(c, base);
+    c = base;
+    c.machine.forwarding.collapse_threshold += 1;
+    EXPECT_NE(c, base);
+    c = base;
+    c.machine.quarantine_cfg.watermark = 0.5;
+    EXPECT_NE(c, base);
+    c = base;
+    c.machine.fast_forward_regions.push_back("build");
+    EXPECT_NE(c, base);
+    c = base;
+    c.variant.linearize_threshold += 1;
+    EXPECT_NE(c, base);
+    c = base;
+    c.params.seed += 1;
+    EXPECT_NE(c, base);
 }
 
 TEST(Driver, AverageLatenciesAreSane)
