@@ -36,6 +36,7 @@ Lsq::recordStore(std::uint64_t seq, Addr initial_word, Addr final_word,
 {
     prune(seq);
     stores_.push_back({seq, initial_word, final_word, words, resolved});
+    latest_resolved_ = std::max(latest_resolved_, resolved);
 }
 
 Cycles
@@ -60,6 +61,10 @@ Lsq::checkLoad(std::uint64_t seq, Cycles issue, Addr initial_word,
         return 0;
 
     prune(seq);
+    // When every store ever recorded resolved by the load's issue, the
+    // scan below would find nothing unresolved: skip it.
+    if (latest_resolved_ <= issue)
+        return 0;
     bool speculated = false;
     bool violated = false;
     for (const auto &s : stores_) {

@@ -13,7 +13,9 @@
  * The Lsq records recent stores' initial/final word ranges and
  * resolution times.  When a load finishes, it is checked against every
  * older store that was still unresolved when the load issued; a
- * violation costs a pipeline-flush penalty and is counted.  When
+ * violation costs a pipeline-flush penalty and is counted.  A load that
+ * issued after the latest resolution of any recorded store skips the
+ * scan: no store can have been unresolved for it.  When
  * speculation is disabled, the Lsq instead returns the cycle at which
  * all older stores resolve, and loads stall until then.
  */
@@ -81,6 +83,8 @@ class Lsq
 
     OooParams params_;
     std::deque<StoreRec> stores_;
+    /** Greatest `resolved` of any store recorded, pruned ones included. */
+    Cycles latest_resolved_ = 0;
     std::uint64_t speculations_ = 0;
     std::uint64_t violations_ = 0;
 };

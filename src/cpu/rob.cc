@@ -1,7 +1,5 @@
 #include "cpu/rob.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace memfwd
@@ -13,84 +11,6 @@ Rob::Rob(unsigned width, unsigned window)
     memfwd_assert(width > 0 && window >= width,
                   "Rob(width=%u, window=%u) is not a sane geometry",
                   width, window);
-}
-
-Cycles
-Rob::dispatch()
-{
-    // Window constraint: instruction seq_ cannot enter until
-    // instruction (seq_ - window_) has retired and freed its slot.
-    Cycles earliest = 0;
-    if (seq_ >= window_)
-        earliest = retire_ring_[seq_ % window_];
-
-    if (earliest > fetch_cycle_) {
-        fetch_cycle_ = earliest;
-        fetch_slots_ = 0;
-    }
-    if (fetch_slots_ == width_) {
-        ++fetch_cycle_;
-        fetch_slots_ = 0;
-    }
-    ++fetch_slots_;
-    ++seq_;
-    return fetch_cycle_;
-}
-
-Cycles
-Rob::graduate(Cycles completion, WaitKind kind)
-{
-    memfwd_assert(graduated_ < seq_,
-                  "graduate() without a matching dispatch()");
-
-    Cycles target = std::max(completion, grad_cycle_);
-
-    if (target == grad_cycle_ && grad_slots_ == width_) {
-        // Current cycle's slots are exhausted; spill to the next.
-        ++grad_cycle_;
-        grad_slots_ = 0;
-        target = grad_cycle_;
-    }
-
-    if (target > grad_cycle_) {
-        // Attribute every empty slot between the graduation cursor and
-        // the cycle this instruction becomes ready.
-        const std::uint64_t stall_slots =
-            (width_ - grad_slots_) +
-            static_cast<std::uint64_t>(target - grad_cycle_ - 1) * width_;
-        switch (kind) {
-          case WaitKind::load_miss:
-            stalls_.load_stall += stall_slots;
-            break;
-          case WaitKind::store_miss:
-            stalls_.store_stall += stall_slots;
-            break;
-          case WaitKind::none:
-            stalls_.inst_stall += stall_slots;
-            break;
-        }
-        grad_cycle_ = target;
-        grad_slots_ = 0;
-    }
-
-    ++stalls_.busy;
-    ++grad_slots_;
-    ++graduated_;
-    retire_ring_[(graduated_ - 1) % window_] = grad_cycle_;
-    return grad_cycle_;
-}
-
-void
-Rob::aluBurst(std::uint64_t n)
-{
-    // The literal composition of dispatch()+graduate(d+1, none), kept
-    // in this translation unit so both inline into one loop.  Any
-    // behavioral change here breaks cycle-exactness: the differential
-    // suite and the committed bench baseline both pin it.
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Cycles d = dispatch();
-        graduate(d + 1, WaitKind::none);
-    }
 }
 
 } // namespace memfwd

@@ -2,8 +2,9 @@
  * @file
  * Flat open-addressed page index.
  *
- * Maps sparse page numbers to dense arena slots for TaggedMemory and
- * for the optional per-word MetadataPlane that mirrors its paging.  The
+ * Maps sparse page numbers to dense arena slots for TaggedMemory, for
+ * the optional per-word MetadataPlane that mirrors its paging, and for
+ * SimAllocator's occupancy pages.  The
  * previous implementation kept pages behind
  * `std::unordered_map<Addr, std::unique_ptr<Page>>`, which costs a
  * hash-node pointer chase per simulated reference; this table keeps the
@@ -11,8 +12,8 @@
  * the common lookup touches a single host cache line.
  *
  * Pages are never unmapped, so the table never deletes — that keeps
- * probing tombstone-free.  Growth rehashes into a table twice the size
- * at 70% load.
+ * probing tombstone-free.  A stored value may be rewritten in place.
+ * Growth rehashes into a table twice the size at 70% load.
  */
 
 #ifndef MEMFWD_MEM_FLAT_PAGE_INDEX_HH
@@ -28,7 +29,7 @@
 namespace memfwd
 {
 
-/** Open-addressed Addr -> dense-slot map (insert and find only). */
+/** Open-addressed Addr -> dense-slot map (insert, find and rewrite). */
 class FlatPageIndex
 {
   public:
@@ -57,6 +58,25 @@ class FlatPageIndex
                 return s.val;
             if (s.key == empty_key)
                 return no_value;
+            i = (i + 1) & mask;
+        }
+    }
+
+    /**
+     * The value stored for @p key, to rewrite in place, or nullptr if
+     * absent.  The pointer is valid until the next insert().
+     */
+    Value *
+    findMutable(Addr key)
+    {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = hash(key) & mask;
+        while (true) {
+            Slot &s = slots_[i];
+            if (s.key == key)
+                return &s.val;
+            if (s.key == empty_key)
+                return nullptr;
             i = (i + 1) & mask;
         }
     }

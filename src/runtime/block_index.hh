@@ -2,13 +2,16 @@
  * @file
  * Ordered index of the simulated heap's live blocks.
  *
- * SimAllocator asks four questions of its live blocks: does a range
- * overlap one (every placement probe), where does the block at or
- * below an address end (the sequential collision skip), what are the
- * blocks in address order (first-fit), and what is the block starting
- * exactly here (free, isAllocated).  A node-based ordered map answers
- * each with a pointer chase per tree level.  This index keeps the
- * blocks in two flat levels instead:
+ * SimAllocator asks four questions of its live blocks' boundaries:
+ * where does the block at or below an address end (floor: the
+ * sequential collision skip), what are the blocks in address order
+ * (scan: first-fit), what is the block starting exactly here (find:
+ * free, isAllocated) and where does the highest block end (lastEnd:
+ * the live extent).  Whether a range overlaps any block, the question
+ * every placement probe asks, is answered by the allocator's occupancy
+ * bitmap instead.  A node-based ordered map answers each with a pointer
+ * chase per tree level.  This index keeps the blocks in two flat
+ * levels instead:
  *
  *  - sorted leaves of at most leaf_capacity (start, end) pairs, starts
  *    and ends in separate arrays so a search touches only starts;

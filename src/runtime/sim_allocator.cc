@@ -16,6 +16,77 @@ namespace
 /** Approximate instruction cost of one malloc/free call. */
 constexpr std::uint64_t alloc_compute_cost = 40;
 
+/**
+ * Split the word-aligned range [start, end) at @p page_bytes boundaries
+ * and call @p fn(page, first, last) on each piece in address order:
+ * the page's number and the piece's word offsets in it, last
+ * exclusive.  Stops at the first call that returns false and returns
+ * false; true when every piece was visited.
+ */
+template <class Fn>
+bool
+forEachPagePiece(Addr start, Addr end, Addr page_bytes, Fn &&fn)
+{
+    while (start < end) {
+        const Addr page = start / page_bytes;
+        const Addr stop = std::min(end, (page + 1) * page_bytes);
+        const auto first = unsigned(start % page_bytes / wordBytes);
+        const auto last = unsigned((stop - 1) % page_bytes / wordBytes) + 1;
+        if (!fn(page, first, last))
+            return false;
+        start = stop;
+    }
+    return true;
+}
+
+/** The bits of bitmap word @p i that word offsets [first, last) cover. */
+std::uint64_t
+bitsOf(unsigned i, unsigned first, unsigned last)
+{
+    const unsigned lo = std::max(first, i * 64) - i * 64;
+    const unsigned hi = std::min(last, i * 64 + 64) - i * 64;
+    return (~std::uint64_t(0) >> (64 - (hi - lo))) << lo;
+}
+
+/** True if any of @p bits' word offsets [first, last) is set. */
+bool
+anyBits(const std::uint64_t *bits, unsigned first, unsigned last)
+{
+    for (unsigned i = first / 64; i * 64 < last; ++i) {
+        if (bits[i] & bitsOf(i, first, last))
+            return true;
+    }
+    return false;
+}
+
+/** Set (@p live) or clear @p bits' word offsets [first, last). */
+void
+writeBits(std::uint64_t *bits, unsigned first, unsigned last, bool live)
+{
+    for (unsigned i = first / 64; i * 64 < last; ++i) {
+        if (live)
+            bits[i] |= bitsOf(i, first, last);
+        else
+            bits[i] &= ~bitsOf(i, first, last);
+    }
+}
+
+/**
+ * An occupancy-index value for a page whose live words are the one run
+ * [lo, hi) (empty when lo == hi), held inline: 10 bits each under the
+ * inline_run flag.  Any other value is the slot of the page's bitmap.
+ */
+constexpr FlatPageIndex::Value inline_run = FlatPageIndex::Value(1) << 31;
+
+FlatPageIndex::Value
+inlineRun(unsigned lo, unsigned hi)
+{
+    return inline_run | lo | hi << 10;
+}
+
+unsigned runLo(FlatPageIndex::Value v) { return v & 1023; }
+unsigned runHi(FlatPageIndex::Value v) { return v >> 10 & 1023; }
+
 } // namespace
 
 SimAllocator::SimAllocator(Machine &machine, Addr base, Addr span,
@@ -37,10 +108,65 @@ SimAllocator::rangeFree(Addr start, Addr bytes) const
 {
     if (start < base_ || start + bytes > base_ + span_)
         return false;
-    // Blocks are disjoint, so only the last block starting inside the
-    // range's end can reach into it.
-    const BlockIndex::Pos p = blocks_.floor(start + bytes - 1);
-    return p == blocks_.end() || blocks_.end(p) <= start;
+    if (!large_blocks_.empty()) {
+        // Large blocks are disjoint, so only the last one starting
+        // inside the range's end can reach into it.
+        const BlockIndex::Pos p = large_blocks_.floor(start + bytes - 1);
+        if (p != large_blocks_.end() && large_blocks_.end(p) > start)
+            return false;
+    }
+    return forEachPagePiece(
+        start, start + bytes, occupancy_page_bytes,
+        [&](Addr page, unsigned first, unsigned last) {
+            const FlatPageIndex::Value v = occupancy_index_.find(page);
+            if (v == FlatPageIndex::no_value)
+                return true; // never allocated into
+            if (v & inline_run)
+                return last <= runLo(v) || runHi(v) <= first;
+            return !anyBits(occupancy_[v].data(), first, last);
+        });
+}
+
+void
+SimAllocator::markOccupied(Addr start, Addr end, bool live)
+{
+    if (end - start >= large_block_bytes) {
+        if (live)
+            large_blocks_.insert(start, end);
+        else
+            large_blocks_.erase(large_blocks_.find(start));
+        return;
+    }
+    forEachPagePiece(
+        start, end, occupancy_page_bytes,
+        [&](Addr page, unsigned first, unsigned last) {
+            FlatPageIndex::Value *v = occupancy_index_.findMutable(page);
+            if (!v) {
+                memfwd_assert(live, "occupancy: freeing an unmapped page");
+                occupancy_index_.insert(page, inlineRun(first, last));
+                return true;
+            }
+            if (*v & inline_run) {
+                const unsigned lo = runLo(*v), hi = runHi(*v);
+                if (!live) {
+                    // Only the block whose words the run holds can be
+                    // freed on this page.
+                    memfwd_assert(first == lo && last == hi,
+                                  "occupancy: freeing unrecorded words");
+                    *v = inlineRun(0, 0);
+                    return true;
+                }
+                if (lo == hi) {
+                    *v = inlineRun(first, last);
+                    return true;
+                }
+                // A second block on the page: move the run to a bitmap.
+                *v = FlatPageIndex::Value(occupancy_.size());
+                writeBits(occupancy_.emplace_back().data(), lo, hi, true);
+            }
+            writeBits(occupancy_[*v].data(), first, last, live);
+            return true;
+        });
 }
 
 Addr
@@ -117,6 +243,7 @@ SimAllocator::alloc(Addr bytes, Placement placement, Addr align)
 
     const Addr addr = place(bytes, placement, align);
     blocks_.insert(addr, addr + bytes);
+    markOccupied(addr, addr + bytes, true);
 
     // The OS guarantees clear forwarding bits on fresh memory
     // (Section 3.3); the sweep is functional, the allocator's own work
@@ -160,6 +287,7 @@ SimAllocator::free(Addr addr)
         cur = wordAlign(machine_.access(Access::unforwardedRead(cur)).value);
         if (const BlockIndex::Pos p = blocks_.find(cur); p != blocks_.end()) {
             bytes_live_ -= blocks_.end(p) - cur;
+            markOccupied(cur, blocks_.end(p), false);
             blocks_.erase(p);
         }
         memfwd_assert(++guard < 1u << 20, "free(): runaway chain");
@@ -170,6 +298,7 @@ SimAllocator::free(Addr addr)
                   "free() of unallocated address %#llx",
                   static_cast<unsigned long long>(addr));
     bytes_live_ -= blocks_.end(p) - addr;
+    markOccupied(addr, blocks_.end(p), false);
     blocks_.erase(p);
 
     machine_.access(Access::compute(alloc_compute_cost));

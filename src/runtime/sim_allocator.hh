@@ -27,11 +27,14 @@
 #ifndef MEMFWD_RUNTIME_SIM_ALLOCATOR_HH
 #define MEMFWD_RUNTIME_SIM_ALLOCATOR_HH
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <stdexcept>
 
 #include "common/random.hh"
 #include "common/types.hh"
+#include "mem/flat_page_index.hh"
 #include "runtime/block_index.hh"
 
 namespace memfwd
@@ -80,12 +83,21 @@ enum class Placement
 /**
  * Word-aligned allocator over a Machine's simulated heap.
  *
- * The live blocks sit in one BlockIndex.  A scattered probe, a
- * sequential collision check, free() of each chain target and
- * isAllocated() are each one two-level search of it, O(log blocks);
- * first-fit is a contiguous scan.  None of this host bookkeeping is
- * simulated: alloc() and free() charge a flat compute cost, plus the
- * timed chain walk in free().
+ * Two host structures track the live blocks.  An occupancy map (one
+ * bit per heap word, kept per 4 KiB page) answers every placement
+ * probe, scattered or sequential, with one page lookup and a test of a
+ * few bitmap words.  A page that has only ever held one block at a time
+ * keeps that block's words inline in its index entry instead of in a
+ * 64 B bitmap: on a sparse heap, nearly every page.  Blocks of 64 KiB
+ * or more (relocation pools) skip the map, which would otherwise hold
+ * every page of a pool the program never touches; a probe also
+ * searches their own small index.
+ * A BlockIndex of all blocks holds the boundaries: the sequential
+ * collision skip, free() of each chain target and isAllocated() are
+ * each one two-level search of it, O(log blocks), and first-fit is a
+ * contiguous scan of it.  None of this host bookkeeping is simulated:
+ * alloc() and free() charge a flat compute cost, plus the timed chain
+ * walk in free().
  */
 class SimAllocator
 {
@@ -151,8 +163,24 @@ class SimAllocator
     }
 
   private:
+    /** Heap bytes covered by one occupancy page. */
+    static constexpr Addr occupancy_page_bytes = 4096;
+
+    /** Blocks this large go to large_blocks_, not the occupancy map. */
+    static constexpr Addr large_block_bytes = 16 * occupancy_page_bytes;
+
+    /** Bit w of a page is set while a live block covers its word w. */
+    using OccupancyPage =
+        std::array<std::uint64_t, occupancy_page_bytes / wordBytes / 64>;
+
     Addr place(Addr bytes, Placement placement, Addr align);
     bool rangeFree(Addr start, Addr bytes) const;
+
+    /**
+     * Record the block [start, end) as live (@p live) or free in the
+     * occupancy map or, if large, in large_blocks_.
+     */
+    void markOccupied(Addr start, Addr end, bool live);
 
     Machine &machine_;
     Addr base_;
@@ -161,9 +189,24 @@ class SimAllocator
 
     /**
      * [start, end) of every live block, relocation pools included.
-     * Every placement probe, free and size query is a search here.
+     * Every free, size query and collision skip is a search here.
      */
     BlockIndex blocks_;
+
+    /**
+     * The occupancy map: the words of the live blocks under
+     * large_block_bytes, by heap page number.  A page's entry holds its
+     * one live run inline, or the slot of its OccupancyPage in
+     * occupancy_ once two blocks have shared it.  A page without an
+     * entry holds no such block.  Entries are never dropped, so the
+     * cost is bounded by the pages those blocks have touched (an index
+     * slot each, plus 64 B for a shared page), whatever the span.
+     */
+    FlatPageIndex occupancy_index_;
+    std::deque<OccupancyPage> occupancy_;
+
+    /** The live blocks of large_block_bytes or more. */
+    BlockIndex large_blocks_;
 
     Addr bump_ = 0;
     Addr bytes_live_ = 0;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
+#include "common/random.hh"
 #include "cpu/lsq.hh"
 
 namespace memfwd
@@ -132,6 +136,157 @@ TEST(Lsq, ConservativeModeNeverPenalizes)
     lsq.recordStore(1, 0x100, 0x900, 1, 80);
     EXPECT_EQ(lsq.checkLoad(2, 100, 0x300, 0x900, 1), 0u);
     EXPECT_EQ(lsq.violations(), 0u);
+}
+
+/**
+ * The Lsq's check as first written: every load scans the whole window
+ * of stores.  The reference the Lsq's skip of that scan must match.
+ */
+class ScanLsq
+{
+  public:
+    explicit ScanLsq(const OooParams &params) : params_(params) {}
+
+    void
+    recordStore(std::uint64_t seq, Addr initial_word, Addr final_word,
+                unsigned words, Cycles resolved)
+    {
+        prune(seq);
+        stores_.push_back({seq, initial_word, final_word, words, resolved});
+    }
+
+    Cycles
+    loadIssueCycle(std::uint64_t seq, Cycles issue) const
+    {
+        if (params_.dep_speculation)
+            return issue;
+        Cycles earliest = issue;
+        for (const auto &s : stores_) {
+            if (s.seq < seq && s.seq + params_.window >= seq)
+                earliest = std::max(earliest, s.resolved);
+        }
+        return earliest;
+    }
+
+    Cycles
+    checkLoad(std::uint64_t seq, Cycles issue, Addr initial_word,
+              Addr final_word, unsigned words)
+    {
+        if (!params_.dep_speculation)
+            return 0;
+        prune(seq);
+        bool speculated = false;
+        bool violated = false;
+        for (const auto &s : stores_) {
+            if (s.seq >= seq || s.resolved <= issue)
+                continue;
+            speculated = true;
+            if (!overlaps(initial_word, words, s.initial_word, s.words) &&
+                overlaps(final_word, words, s.final_word, s.words)) {
+                violated = true;
+            }
+        }
+        speculations += speculated;
+        violations += violated;
+        return violated ? params_.misspec_penalty : 0;
+    }
+
+    std::uint64_t speculations = 0;
+    std::uint64_t violations = 0;
+
+  private:
+    struct StoreRec
+    {
+        std::uint64_t seq;
+        Addr initial_word;
+        Addr final_word;
+        unsigned words;
+        Cycles resolved;
+    };
+
+    static bool
+    overlaps(Addr a, unsigned a_words, Addr b, unsigned b_words)
+    {
+        return a < b + Addr(b_words) * wordBytes &&
+               b < a + Addr(a_words) * wordBytes;
+    }
+
+    void
+    prune(std::uint64_t seq)
+    {
+        while (!stores_.empty() &&
+               stores_.front().seq + params_.window < seq) {
+            stores_.pop_front();
+        }
+    }
+
+    OooParams params_;
+    std::deque<StoreRec> stores_;
+};
+
+TEST(Lsq, MatchesWholeWindowScan)
+{
+    // Random store/load streams over a few dozen words, so ranges alias
+    // and forwarding moves them onto each other; resolutions land on
+    // both sides of later loads' issue cycles; a small window prunes.
+    for (const bool spec : {true, false}) {
+        for (const unsigned window : {4u, 16u, 64u}) {
+            SCOPED_TRACE(::testing::Message() << "spec " << spec
+                                              << " window " << window);
+            OooParams p = spec ? specOn() : specOff();
+            p.window = window;
+            Lsq lsq(p);
+            ScanLsq ref(p);
+            Rng rng(testSeed(0x15c0000 + window * 2 + spec));
+            auto word = [&] { return 0x1000 + wordBytes * rng.below(48); };
+            std::uint64_t seq = 0;
+            Cycles now = 0;
+            unsigned loads = 0, skippable = 0;
+            Cycles latest = 0; // the greatest resolution recorded so far
+            for (int op = 0; op < 5000; ++op) {
+                seq += 1 + rng.below(window / 2 + 1);
+                now += rng.below(4);
+                const Addr initial = word();
+                const Addr final = rng.chance(0.3) ? word() : initial;
+                const auto words = unsigned(1 + rng.below(4));
+                if (rng.chance(0.4)) {
+                    // Mostly quick resolutions, now and then a long one
+                    // (a store miss) that outlives many later loads.
+                    const Cycles resolved =
+                        now + (rng.chance(0.05) ? rng.below(60) : rng.below(4));
+                    latest = std::max(latest, resolved);
+                    lsq.recordStore(seq, initial, final, words, resolved);
+                    ref.recordStore(seq, initial, final, words, resolved);
+                    continue;
+                }
+                // A load checked now or up to half a window in the past,
+                // possibly older than the stores last recorded, so loads
+                // reach the Lsq out of program order too.
+                const std::uint64_t load_seq = seq - rng.below(window / 2 + 1);
+                const Cycles issue = now - std::min<Cycles>(now, rng.below(16));
+                ASSERT_EQ(lsq.loadIssueCycle(load_seq, issue),
+                          ref.loadIssueCycle(load_seq, issue));
+                ASSERT_EQ(lsq.checkLoad(load_seq, issue, initial, final,
+                                        words),
+                          ref.checkLoad(load_seq, issue, initial, final,
+                                        words))
+                    << "op " << op;
+                ASSERT_EQ(lsq.speculations(), ref.speculations);
+                ASSERT_EQ(lsq.violations(), ref.violations);
+                ++loads;
+                skippable += latest <= issue;
+            }
+            EXPECT_GT(loads, 1000u);
+            if (spec) {
+                // Loads on both sides of the skip, and both outcomes of
+                // the scan.
+                EXPECT_GT(skippable, loads / 10);
+                EXPECT_LT(skippable, loads - loads / 10);
+                EXPECT_GT(ref.speculations, 0u);
+                EXPECT_GT(ref.violations, 0u);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * The index replaced the two-level paged lookup on the hot path of
  * every simulated reference, so it is held to a reference
  * implementation (std::unordered_map) under sparse, dense, and
- * adversarial key distributions, across growth, and through forEach.
+ * adversarial key distributions, across growth, through in-place
+ * rewrites, and through forEach.
  * The TaggedMemory-level tests exercise the integration: the one-entry
  * last-page cache must never serve a stale page, and forwarding-state
  * listeners must keep firing exactly as before the swap.
@@ -57,9 +58,21 @@ differential(const std::vector<Addr> &keys)
             if (!ref.count(miss) && miss != FlatPageIndex::empty_key) {
                 EXPECT_EQ(index.find(miss), FlatPageIndex::no_value)
                     << "phantom key " << miss;
+                EXPECT_EQ(index.findMutable(miss), nullptr);
             }
         }
     }
+
+    // Rewriting a value in place changes what find() returns for that
+    // key alone.
+    for (auto &[k, v] : ref) {
+        FlatPageIndex::Value *slot = index.findMutable(k);
+        ASSERT_NE(slot, nullptr) << "key " << k;
+        ASSERT_EQ(*slot, v);
+        *slot = v += 1u << 30;
+    }
+    for (const auto &[k, v] : ref)
+        EXPECT_EQ(index.find(k), v) << "key " << k;
 
     // forEach visits exactly the reference's entries, once each.
     std::unordered_map<Addr, FlatPageIndex::Value> seen;

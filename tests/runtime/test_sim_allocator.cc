@@ -315,21 +315,38 @@ class MapPlacement
     Addr live_ = 0;
 };
 
+/** The arena and block mix one oracle run drives. */
+struct OracleMix
+{
+    Addr base_offset = 0;
+    /** Arena size; 0 takes the Machine's whole default heap. */
+    Addr span = 64 << 10;
+    /** Requests are 1 to max_bytes bytes. */
+    Addr max_bytes = 192;
+    /** The larger of the two alignments allocs draw. */
+    Addr big_align = 64;
+    /** Share of allocs sized 64-96 KiB, past the bitmap's block limit. */
+    double large_share = 0;
+    /** The arena is small enough to fill: expect fallbacks and failures. */
+    bool fills = true;
+};
+
 /**
  * Drive SimAllocator and MapPlacement with one seeded mix of allocs
- * (all three placements, align 8 and 64), chain-aware frees of
- * relocated objects and size queries, in a 64 KiB arena run past 70%
+ * (all three placements, align 8 and mix.big_align), chain-aware frees
+ * of relocated objects and size queries.  A small arena runs past 70%
  * occupancy into exhaustion.  Every result must agree.
  */
 void
-runOracle(Addr base_offset, std::uint64_t seed)
+runOracle(const OracleMix &mix, std::uint64_t seed)
 {
-    SCOPED_TRACE(::testing::Message() << "base +" << base_offset
-                                      << " seed " << seed);
+    SCOPED_TRACE(::testing::Message() << "base +" << mix.base_offset
+                                      << " span " << mix.span << " seed "
+                                      << seed);
     setVerbose(false); // the fallbacks would each warn
     Machine m;
-    const Addr base = m.config().heap_base + base_offset;
-    const Addr span = 64 << 10;
+    const Addr base = m.config().heap_base + mix.base_offset;
+    const Addr span = mix.span ? mix.span : m.config().heap_span;
     SimAllocator alloc(m, base, span, seed);
     MapPlacement ref(base, span, seed);
     Rng rng(seed ^ 0x0c1e);
@@ -368,8 +385,11 @@ runOracle(Addr base_offset, std::uint64_t seed)
         if (kind < 55 || roots.empty()) {
             const auto pl = static_cast<Placement>(rng.below(3));
             first_fits += pl == Placement::first_fit;
-            const Addr align = rng.chance(0.3) ? 64 : wordBytes;
-            const Addr a = both(1 + rng.below(192), pl, align);
+            const Addr align = rng.chance(0.3) ? mix.big_align : wordBytes;
+            const Addr bytes = rng.chance(mix.large_share)
+                                   ? (64 << 10) + rng.below(32 << 10)
+                                   : 1 + rng.below(mix.max_bytes);
+            const Addr a = both(bytes, pl, align);
             if (a)
                 roots[a];
         } else if (kind < 85) {
@@ -404,9 +424,11 @@ runOracle(Addr base_offset, std::uint64_t seed)
             peak_occupancy, double(alloc.bytesLive()) / double(span));
     }
     // The mix reached every path it is meant to cover.
-    EXPECT_GE(peak_occupancy, 0.7);
-    EXPECT_GT(ref.fallbacks, 0u);
-    EXPECT_GT(failures, 0u);
+    if (mix.fills) {
+        EXPECT_GE(peak_occupancy, 0.7);
+        EXPECT_GT(ref.fallbacks, 0u);
+        EXPECT_GT(failures, 0u);
+    }
     EXPECT_GT(first_fits, 0u);
     EXPECT_GT(chain_frees, 0u);
 }
@@ -414,13 +436,46 @@ runOracle(Addr base_offset, std::uint64_t seed)
 TEST(SimAllocator, PlacementMatchesMapOracle)
 {
     for (std::uint64_t s = 1; s <= 4; ++s)
-        runOracle(0, testSeed(0x0a11c000 + s));
+        runOracle({}, testSeed(0x0a11c000 + s));
 }
 
 TEST(SimAllocator, PlacementMatchesMapOracleOnUnalignedBase)
 {
     for (std::uint64_t s = 1; s <= 4; ++s)
-        runOracle(8, testSeed(0x0a11c100 + s));
+        runOracle({.base_offset = 8}, testSeed(0x0a11c100 + s));
+}
+
+TEST(SimAllocator, PlacementMatchesMapOracleAcrossOccupancyPages)
+{
+    // Blocks of up to three pages, page-aligned or not, so probes and
+    // frees cover the occupancy bitmap across page boundaries.
+    for (std::uint64_t s = 1; s <= 2; ++s) {
+        runOracle({.base_offset = 8, .span = 1 << 20, .max_bytes = 12 << 10,
+                   .big_align = 4096},
+                  testSeed(0x0a11c200 + s));
+    }
+}
+
+TEST(SimAllocator, PlacementMatchesMapOracleWithLargeBlocks)
+{
+    // Small blocks among blocks large enough to be kept out of the
+    // bitmap: probes must test both, and frees erase from both.  The
+    // small blocks soon leave no hole a large one fits in, so this arena
+    // is not expected to fill.
+    for (std::uint64_t s = 1; s <= 2; ++s) {
+        runOracle({.span = 1 << 20, .large_share = 0.05, .fills = false},
+                  testSeed(0x0a11c400 + s));
+    }
+}
+
+TEST(SimAllocator, PlacementMatchesMapOracleOnSparseDefaultHeap)
+{
+    // The default 4 GiB heap: nearly every scattered probe lands on a
+    // page no block has touched.
+    for (std::uint64_t s = 1; s <= 2; ++s) {
+        runOracle({.span = 0, .large_share = 0.01, .fills = false},
+                  testSeed(0x0a11c300 + s));
+    }
 }
 
 TEST(RelocationPool, BumpAllocatesContiguously)
