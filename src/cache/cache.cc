@@ -33,7 +33,8 @@ MemoryLevel::writeback(Addr line_addr, Cycles now)
 // ---------------------------------------------------------------------
 
 Cache::Cache(const CacheConfig &cfg, MemLevel &below)
-    : cfg_(cfg), below_(below), mshrs_(cfg.mshrs)
+    : cfg_(cfg), below_(below), mshrs_(cfg.mshrs),
+      set_index_(cfg.line_bytes, cfg.numSets()), assoc_(cfg.assoc)
 {
     memfwd_assert(cfg_.line_bytes >= wordBytes &&
                       (cfg_.line_bytes & (cfg_.line_bytes - 1)) == 0,
@@ -41,44 +42,35 @@ Cache::Cache(const CacheConfig &cfg, MemLevel &below)
     memfwd_assert(cfg_.numSets() > 0 &&
                       (cfg_.numSets() & (cfg_.numSets() - 1)) == 0,
                   "cache geometry must give a power-of-two set count");
-    lines_.resize(static_cast<std::size_t>(cfg_.numSets()) * cfg_.assoc);
+    const std::size_t ways = std::size_t(cfg_.numSets()) * assoc_;
+    tags_.assign(ways, invalid_tag);
+    lru_.assign(ways, 0);
+    filled_.assign(ways, 0);
+    flags_.assign(ways, 0);
 }
 
-unsigned
-Cache::setIndex(Addr line_addr) const
+std::size_t
+Cache::findWaySlow(Addr line_addr)
 {
-    return static_cast<unsigned>((line_addr / cfg_.line_bytes) %
-                                 cfg_.numSets());
-}
-
-Cache::Line *
-Cache::findLineSlow(Addr line_addr)
-{
-    const unsigned set = setIndex(line_addr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * cfg_.assoc];
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == line_addr) {
-            mru_hint_ = &base[w];
-            return &base[w];
+    const std::size_t base = std::size_t(set_index_(line_addr)) * assoc_;
+    for (std::size_t w = base; w < base + assoc_; ++w) {
+        if (tags_[w] == line_addr) {
+            mru_ = w;
+            return w;
         }
     }
-    return nullptr;
+    return no_way;
 }
 
-const Cache::Line *
-Cache::findLine(Addr line_addr) const
+std::size_t
+Cache::chooseVictim(Addr line_addr)
 {
-    return const_cast<Cache *>(this)->findLine(line_addr);
-}
-
-Cache::Line &
-Cache::chooseVictim(unsigned set)
-{
-    Line *base = &lines_[static_cast<std::size_t>(set) * cfg_.assoc];
+    const std::size_t base = std::size_t(set_index_(line_addr)) * assoc_;
+    const std::size_t end = base + assoc_;
     // Invalid ways first, regardless of policy.
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        if (!base[w].valid)
-            return base[w];
+    for (std::size_t w = base; w < end; ++w) {
+        if (tags_[w] == invalid_tag)
+            return w;
     }
     switch (cfg_.replacement) {
       case ReplacementPolicy::random: {
@@ -86,45 +78,50 @@ Cache::chooseVictim(unsigned set)
         victim_seed_ ^= victim_seed_ << 13;
         victim_seed_ ^= victim_seed_ >> 7;
         victim_seed_ ^= victim_seed_ << 17;
-        return base[victim_seed_ % cfg_.assoc];
+        return base + victim_seed_ % assoc_;
       }
       case ReplacementPolicy::fifo: {
-        Line *victim = base;
-        for (unsigned w = 1; w < cfg_.assoc; ++w) {
-            if (base[w].filled < victim->filled)
-                victim = &base[w];
+        std::size_t victim = base;
+        for (std::size_t w = base + 1; w < end; ++w) {
+            if (filled_[w] < filled_[victim])
+                victim = w;
         }
-        return *victim;
+        return victim;
       }
       case ReplacementPolicy::lru:
       default: {
-        Line *victim = base;
-        for (unsigned w = 1; w < cfg_.assoc; ++w) {
-            if (base[w].lru < victim->lru)
-                victim = &base[w];
+        std::size_t victim = base;
+        for (std::size_t w = base + 1; w < end; ++w) {
+            if (lru_[w] < lru_[victim])
+                victim = w;
         }
-        return *victim;
+        return victim;
       }
     }
 }
 
 void
-Cache::recordAccess(Line &line)
+Cache::install(std::size_t way, Addr line_addr, std::uint8_t flags)
 {
-    line.lru = ++lru_clock_;
+    tags_[way] = line_addr;
+    flags_[way] = flags;
+    lru_[way] = filled_[way] = ++lru_clock_;
+    mru_ = way;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    return findLine(lineAlign(addr)) != nullptr;
+    return const_cast<Cache *>(this)->findWay(lineAlign(addr)) != no_way;
 }
 
 void
 Cache::flush()
 {
-    for (auto &l : lines_)
-        l = Line();
+    // Empty ways are chosen before any stamp is read, and install()
+    // rewrites both stamps, so only tags and flags need clearing.
+    std::fill(tags_.begin(), tags_.end(), invalid_tag);
+    std::fill(flags_.begin(), flags_.end(), 0);
 }
 
 MemLevel::Result
@@ -132,12 +129,12 @@ Cache::access(Addr addr, AccessType type, Cycles now)
 {
     const Addr line_addr = lineAlign(addr);
 
-    if (Line *line = findLine(line_addr)) {
-        recordAccess(*line);
+    if (const std::size_t way = findWay(line_addr); way != no_way) {
+        lru_[way] = ++lru_clock_;
         if (type == AccessType::store)
-            line->dirty = true;
-        if (line->prefetched && type != AccessType::prefetch) {
-            line->prefetched = false;
+            flags_[way] |= dirty_bit;
+        if ((flags_[way] & prefetched_bit) && type != AccessType::prefetch) {
+            flags_[way] &= ~prefetched_bit;
             ++stats_.useful_prefetches;
         }
 
@@ -176,7 +173,9 @@ Cache::access(Addr addr, AccessType type, Cycles now)
     }
 
     // Miss.  First see whether a fill for this line is already in
-    // flight — if so, combine with it (a "partial miss").
+    // flight — if so, combine with it (a "partial miss").  The line was
+    // installed when that fill started and has since been evicted, so
+    // there is no resident line for a store to dirty.
     if (Cycles fill = mshrs_.outstandingFill(line_addr, now)) {
         switch (type) {
           case AccessType::load:
@@ -189,14 +188,8 @@ Cache::access(Addr addr, AccessType type, Cycles now)
             ++stats_.prefetch_hits; // combined; no new traffic
             break;
         }
-        // The line will be resident when the fill completes; a store
-        // combining with the fill dirties it then.
-        const Cycles ready = std::max(fill, now + cfg_.hit_latency);
-        if (type == AccessType::store) {
-            if (Line *line = findLine(line_addr))
-                line->dirty = true;
-        }
-        return {ready, MissKind::partial, 1};
+        return {std::max(fill, now + cfg_.hit_latency), MissKind::partial,
+                1};
     }
 
     // Full miss: allocate an MSHR (possibly waiting for a free one) and
@@ -221,20 +214,16 @@ Cache::access(Addr addr, AccessType type, Cycles now)
 
     // Install the line now (simulation state is eager; timing is carried
     // by the returned ready cycle and the MSHR entry).
-    const unsigned set = setIndex(line_addr);
-    Line &victim = chooseVictim(set);
-    if (victim.valid && victim.dirty) {
+    const std::size_t victim = chooseVictim(line_addr);
+    if (flags_[victim] & dirty_bit) {
         ++stats_.writebacks;
         stats_.bytes_out += cfg_.line_bytes;
-        below_.writeback(victim.tag, below.ready);
+        below_.writeback(tags_[victim], below.ready);
     }
-    victim.valid = true;
-    victim.tag = line_addr;
-    victim.dirty = (type == AccessType::store);
-    victim.prefetched = (type == AccessType::prefetch);
-    recordAccess(victim);
-    victim.filled = victim.lru;
-    mru_hint_ = &victim;
+    install(victim, line_addr,
+            type == AccessType::store      ? dirty_bit
+            : type == AccessType::prefetch ? prefetched_bit
+                                           : 0);
 
     return {below.ready, MissKind::full, below.depth + 1};
 }
@@ -242,28 +231,22 @@ Cache::access(Addr addr, AccessType type, Cycles now)
 void
 Cache::writeback(Addr line_addr, Cycles now)
 {
+    memfwd_assert(line_addr != invalid_tag, "writeback of the empty tag");
     // A dirty line arrives from the level above.  If we hold the line,
     // just mark it dirty; otherwise allocate it without fetching from
     // below (the incoming data is the whole line).
-    if (Line *line = findLine(line_addr)) {
-        line->dirty = true;
-        recordAccess(*line);
+    if (const std::size_t way = findWay(line_addr); way != no_way) {
+        flags_[way] |= dirty_bit;
+        lru_[way] = ++lru_clock_;
         return;
     }
-    const unsigned set = setIndex(line_addr);
-    Line &victim = chooseVictim(set);
-    if (victim.valid && victim.dirty) {
+    const std::size_t victim = chooseVictim(line_addr);
+    if (flags_[victim] & dirty_bit) {
         ++stats_.writebacks;
         stats_.bytes_out += cfg_.line_bytes;
-        below_.writeback(victim.tag, now);
+        below_.writeback(tags_[victim], now);
     }
-    victim.valid = true;
-    victim.tag = line_addr;
-    victim.dirty = true;
-    victim.prefetched = false;
-    recordAccess(victim);
-    victim.filled = victim.lru;
-    mru_hint_ = &victim;
+    install(victim, line_addr, dirty_bit);
 }
 
 void

@@ -15,11 +15,13 @@
 #ifndef MEMFWD_CACHE_CACHE_HH
 #define MEMFWD_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "cache/cache_config.hh"
 #include "cache/mshr.hh"
+#include "cache/set_index.hh"
 #include "common/types.hh"
 #include "obs/metrics.hh"
 
@@ -133,47 +135,55 @@ class Cache : public MemLevel
     Addr lineAlign(Addr a) const { return a & ~Addr(cfg_.line_bytes - 1); }
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false;  ///< filled by prefetch, not yet used
-        std::uint64_t lru = 0;    ///< last-touch stamp
-        std::uint64_t filled = 0; ///< fill-order stamp (FIFO policy)
-    };
-
-    struct SetRef
-    {
-        Line *begin;
-    };
-
-    unsigned setIndex(Addr line_addr) const;
-    Line *findLineSlow(Addr line_addr);
+    /** Way-array index meaning "no such line". */
+    static constexpr std::size_t no_way = ~std::size_t(0);
 
     /**
-     * Tag lookup with a one-entry MRU hint.  Tags store the full line
-     * address, so a tag match on the hinted line is sufficient — the
-     * hint self-invalidates when the line it points at is re-filled
-     * with a different tag or invalidated by flush().
+     * Tag of an empty way.  Tags are full line addresses (aligned to a
+     * line of >= 8 bytes), so no tag can equal it, and a valid bit is
+     * not needed.
      */
-    Line *
-    findLine(Addr line_addr)
+    static constexpr Addr invalid_tag = ~Addr(0);
+
+    /** Bits of flags_. @{ */
+    static constexpr std::uint8_t dirty_bit = 1;
+    static constexpr std::uint8_t prefetched_bit = 2; ///< not yet used
+    /** @} */
+
+    std::size_t findWaySlow(Addr line_addr);
+
+    /**
+     * Way holding @p line_addr, or no_way, checking the MRU way
+     * first.  The hint needs no validation: a re-filled or flushed
+     * way no longer carries the hinted tag.
+     */
+    std::size_t
+    findWay(Addr line_addr)
     {
-        if (mru_hint_ && mru_hint_->valid && mru_hint_->tag == line_addr)
-            return mru_hint_;
-        return findLineSlow(line_addr);
+        if (tags_[mru_] == line_addr)
+            return mru_;
+        return findWaySlow(line_addr);
     }
-    const Line *findLine(Addr line_addr) const;
-    Line &chooseVictim(unsigned set);
-    void recordAccess(Line &line);
+    std::size_t chooseVictim(Addr line_addr);
+    /** Install @p line_addr in @p way with @p flags; stamps LRU/FIFO. */
+    void install(std::size_t way, Addr line_addr, std::uint8_t flags);
 
     CacheConfig cfg_;
     MemLevel &below_;
     MshrFile mshrs_;
     CacheStats stats_;
-    std::vector<Line> lines_; ///< sets_ x assoc, row-major
-    Line *mru_hint_ = nullptr; ///< last line hit or installed
+    SetIndex set_index_;
+    unsigned assoc_;
+    /**
+     * Per-way state, sets x assoc, row-major, one array per field so a
+     * set's tags share a host cache line.  @{
+     */
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> lru_;    ///< last-touch stamp
+    std::vector<std::uint64_t> filled_; ///< fill-order stamp (FIFO)
+    std::vector<std::uint8_t> flags_;   ///< dirty_bit | prefetched_bit
+    /** @} */
+    std::size_t mru_ = 0; ///< way last hit or installed
     std::uint64_t lru_clock_ = 0;
     std::uint64_t victim_seed_ = 0x2545f4914f6cdd1dULL;
 };

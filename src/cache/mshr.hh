@@ -40,7 +40,7 @@ class MshrFile
     Cycles
     outstandingFill(Addr line_addr, Cycles now) const
     {
-        if (pending_count_ == 0 && max_fill_done_ <= now)
+        if (pending_ == no_slot && max_fill_done_ <= now)
             return 0;
         return outstandingFillSlow(line_addr, now);
     }
@@ -68,22 +68,28 @@ class MshrFile
     std::uint64_t allocationStalls() const { return alloc_stalls_; }
 
   private:
-    struct Entry
-    {
-        Addr line_addr = 0;
-        Cycles fill_done = 0; ///< 0 means free
-        bool pending = false; ///< allocated but completion not yet known
-    };
+    static constexpr unsigned no_slot = ~0u;
 
     void expire(Cycles now);
     Cycles outstandingFillSlow(Addr line_addr, Cycles now) const;
 
     unsigned entries_;
-    std::vector<Entry> slots_;
+    /**
+     * Per-entry state in two packed arrays.  An entry is busy at @p now
+     * while it is the pending slot or its fill_done is > now; a
+     * fill_done of 0 means free.  expire() zeroes entries that are not
+     * busy, so at most one entry per line is ever non-zero: the cache
+     * allocates a line only after outstandingFill() found no busy entry
+     * for it at the same cycle, and allocate() expires at that cycle.
+     * @{
+     */
+    std::vector<Addr> line_;
+    std::vector<Cycles> fill_done_;
+    /** @} */
+    /** Slot allocated whose completion is not yet recorded. */
+    unsigned pending_ = no_slot;
     unsigned peak_ = 0;
     std::uint64_t alloc_stalls_ = 0;
-    /** Entries allocated whose completion is not yet recorded. */
-    unsigned pending_count_ = 0;
     /** Monotone upper bound on every entry's fill_done. */
     Cycles max_fill_done_ = 0;
 };

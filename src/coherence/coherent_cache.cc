@@ -9,7 +9,8 @@ namespace memfwd
 CoherentCache::CoherentCache(unsigned size_bytes, unsigned assoc,
                              unsigned line_bytes, SnoopBus &bus)
     : size_bytes_(size_bytes), assoc_(assoc), line_bytes_(line_bytes),
-      sets_(size_bytes / (assoc * line_bytes)), bus_(bus)
+      sets_(size_bytes / (assoc * line_bytes)),
+      set_index_(line_bytes, sets_), bus_(bus)
 {
     memfwd_assert(sets_ > 0 && (sets_ & (sets_ - 1)) == 0,
                   "coherent cache geometry must be a power of two");
@@ -20,16 +21,10 @@ CoherentCache::CoherentCache(unsigned size_bytes, unsigned assoc,
     port_ = bus_.attach(this);
 }
 
-unsigned
-CoherentCache::setIndex(Addr line_addr) const
-{
-    return static_cast<unsigned>((line_addr / line_bytes_) % sets_);
-}
-
 CoherentCache::Line *
 CoherentCache::findLine(Addr line_addr)
 {
-    Line *base = &lines_[static_cast<std::size_t>(setIndex(line_addr)) *
+    Line *base = &lines_[static_cast<std::size_t>(set_index_(line_addr)) *
                          assoc_];
     for (unsigned w = 0; w < assoc_; ++w) {
         if (base[w].state != CoherenceState::invalid &&
@@ -80,7 +75,7 @@ CoherentCache::load(Addr addr, Cycles now)
     }
     ++stats_.load_misses;
     const bool supplied = bus_.busRead(port_, line_addr);
-    Line &v = victim(setIndex(line_addr));
+    Line &v = victim(set_index_(line_addr));
     v.tag = line_addr;
     v.state = CoherenceState::shared;
     v.lru = ++lru_clock_;
@@ -105,7 +100,7 @@ CoherentCache::store(Addr addr, Cycles now)
     }
     ++stats_.store_misses;
     const unsigned peers = bus_.busReadExclusive(port_, line_addr);
-    Line &v = victim(setIndex(line_addr));
+    Line &v = victim(set_index_(line_addr));
     v.tag = line_addr;
     v.state = CoherenceState::modified;
     v.lru = ++lru_clock_;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cache/set_index.hh"
 #include "common/types.hh"
 #include "obs/metrics.hh"
 
@@ -105,7 +106,6 @@ class CoherentCache
         std::uint64_t lru = 0;
     };
 
-    unsigned setIndex(Addr line_addr) const;
     Line *findLine(Addr line_addr);
     const Line *findLine(Addr line_addr) const;
     Line &victim(unsigned set);
@@ -114,6 +114,7 @@ class CoherentCache
     unsigned assoc_;
     unsigned line_bytes_;
     unsigned sets_;
+    SetIndex set_index_;
     SnoopBus &bus_;
     unsigned port_;
     std::vector<Line> lines_;

@@ -2,10 +2,10 @@
  * @file
  * Flat open-addressed page index.
  *
- * Maps sparse page numbers to dense arena slots for TaggedMemory, for
- * the optional per-word MetadataPlane that mirrors its paging, and for
- * SimAllocator's occupancy pages.  The
- * previous implementation kept pages behind
+ * Maps sparse page numbers to values: TaggedMemory's page pointers,
+ * and dense slots for the optional per-word MetadataPlane that mirrors
+ * its paging and for SimAllocator's occupancy pages.  The previous
+ * implementation kept pages behind
  * `std::unordered_map<Addr, std::unique_ptr<Page>>`, which costs a
  * hash-node pointer chase per simulated reference; this table keeps the
  * whole index in one contiguous power-of-two array probed linearly, so
@@ -29,22 +29,26 @@
 namespace memfwd
 {
 
-/** Open-addressed Addr -> dense-slot map (insert, find and rewrite). */
-class FlatPageIndex
+/**
+ * Open-addressed Addr -> @p V map (insert, find and rewrite), with
+ * @p NoValue reserved to mean "absent".
+ */
+template <class V, V NoValue>
+class BasicFlatPageIndex
 {
   public:
-    using Value = std::uint32_t;
+    using Value = V;
 
     /** Returned by find() when the key is absent. */
-    static constexpr Value no_value = ~Value(0);
+    static constexpr Value no_value = NoValue;
 
     /** Reserved key; page numbers (addr >> 12) can never reach it. */
     static constexpr Addr empty_key = ~Addr(0);
 
-    FlatPageIndex() { slots_.resize(initial_capacity); }
+    BasicFlatPageIndex() { slots_.resize(initial_capacity); }
 
-    FlatPageIndex(const FlatPageIndex &) = delete;
-    FlatPageIndex &operator=(const FlatPageIndex &) = delete;
+    BasicFlatPageIndex(const BasicFlatPageIndex &) = delete;
+    BasicFlatPageIndex &operator=(const BasicFlatPageIndex &) = delete;
 
     /** Slot stored for @p key, or no_value if absent. */
     Value
@@ -158,6 +162,9 @@ class FlatPageIndex
     std::vector<Slot> slots_;
     std::size_t size_ = 0;
 };
+
+/** Page number -> dense 32-bit slot. */
+using FlatPageIndex = BasicFlatPageIndex<std::uint32_t, ~std::uint32_t(0)>;
 
 } // namespace memfwd
 

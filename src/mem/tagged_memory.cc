@@ -11,16 +11,13 @@ TaggedMemory::Page &
 TaggedMemory::pageSlow(Addr addr)
 {
     const Addr key = addr / pageBytes;
-    FlatPageIndex::Value v = index_.find(key);
-    if (v == FlatPageIndex::no_value) {
-        v = static_cast<FlatPageIndex::Value>(page_arena_.size());
-        page_arena_.emplace_back();
-        index_.insert(key, v);
+    Page *p = index_.find(key);
+    if (!p) {
+        p = &page_arena_.emplace_back();
+        index_.insert(key, p);
     }
-    Page &p = page_arena_[v];
-    last_key_ = key;
-    last_page_ = &p;
-    return p;
+    pageCacheEntry(key) = {key, p};
+    return *p;
 }
 
 void
@@ -96,7 +93,7 @@ TaggedMemory::mappedPageBases() const
 {
     std::vector<Addr> bases;
     bases.reserve(index_.size());
-    index_.forEach([&](Addr key, FlatPageIndex::Value) {
+    index_.forEach([&](Addr key, const Page *) {
         bases.push_back(key * pageBytes);
     });
     std::sort(bases.begin(), bases.end());
@@ -141,7 +138,7 @@ TaggedMemory::initializeRegion(Addr addr, Addr bytes)
         const Addr page_start = a - (a % pageBytes);
         const Addr page_end = page_start + pageBytes;
         const Addr sweep_end = end < page_end ? end : page_end;
-        if (index_.find(page_start / pageBytes) != FlatPageIndex::no_value) {
+        if (index_.find(page_start / pageBytes)) {
             for (Addr w = a; w < sweep_end; w += wordBytes)
                 unforwardedWrite(w, 0, false);
         }

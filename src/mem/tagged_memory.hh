@@ -213,12 +213,32 @@ class TaggedMemory
         std::bitset<pageWords> fbits{};
     };
 
-    /** Materialize (or find) the page holding @p addr; updates cache. */
+    using PageIndex = BasicFlatPageIndex<Page *, nullptr>;
+
+    /** Entries of the direct-mapped page cache (a power of two). */
+    static constexpr unsigned pageCacheEntries = 256;
+
+    /** A page number and its page, nullptr if never materialized. */
+    struct PageCacheEntry
+    {
+        Addr key = FlatPageIndex::empty_key;
+        Page *page = nullptr;
+    };
+
+    PageCacheEntry &
+    pageCacheEntry(Addr key) const
+    {
+        return page_cache_[key & (pageCacheEntries - 1)];
+    }
+
+    /** Materialize (or find) the page holding @p addr. */
     Page &
     page(Addr addr)
     {
-        if (addr / pageBytes == last_key_ && last_page_)
-            return *last_page_;
+        const Addr key = addr / pageBytes;
+        const PageCacheEntry &e = pageCacheEntry(key);
+        if (e.key == key && e.page)
+            return *e.page;
         return pageSlow(addr);
     }
 
@@ -226,30 +246,24 @@ class TaggedMemory
 
     /**
      * Page holding @p addr, nullptr if never materialized.  Both
-     * outcomes are cached in the one-entry last-page cache; page()
-     * refreshes it when it materializes, so a cached miss can never go
-     * stale.
+     * outcomes are cached in the direct-mapped page cache; pageSlow()
+     * rewrites the entry when it materializes a page, so a cached miss
+     * can never go stale.
      */
     const Page *
     pageIfPresent(Addr addr) const
     {
         const Addr key = addr / pageBytes;
-        if (key == last_key_)
-            return last_page_;
-        const FlatPageIndex::Value v = index_.find(key);
-        Page *p = v == FlatPageIndex::no_value
-                      ? nullptr
-                      : const_cast<Page *>(&page_arena_[v]);
-        last_key_ = key;
-        last_page_ = p;
-        return p;
+        PageCacheEntry &e = pageCacheEntry(key);
+        if (e.key != key)
+            e = {key, index_.find(key)};
+        return e.page;
     }
 
     /** Pages in materialization order; std::deque keeps them stable. */
     std::deque<Page> page_arena_;
-    FlatPageIndex index_;
-    mutable Addr last_key_ = FlatPageIndex::empty_key;
-    mutable Page *last_page_ = nullptr;
+    PageIndex index_;
+    mutable std::array<PageCacheEntry, pageCacheEntries> page_cache_{};
     FwdStateListener *listener_ = nullptr;
     std::unique_ptr<MetadataPlane> meta_plane_;
 };

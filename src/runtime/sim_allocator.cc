@@ -187,8 +187,11 @@ SimAllocator::place(Addr bytes, Placement placement, Addr align)
             if (rangeFree(candidate, bytes))
                 return candidate;
         }
-        memfwd_warn("scattered placement degraded to sequential "
-                    "(heap too full)");
+        if (scattered_fallbacks_++ == 0) {
+            memfwd_warn("scattered placement degraded to sequential "
+                        "(heap too full); later fallbacks are counted, "
+                        "not reported");
+        }
     }
     if (placement == Placement::first_fit) {
         // Lowest hole that fits: walk the live blocks in address order

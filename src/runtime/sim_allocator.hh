@@ -148,6 +148,13 @@ class SimAllocator
     std::uint64_t allocCalls() const { return alloc_calls_; }
     std::uint64_t freeCalls() const { return free_calls_; }
 
+    /**
+     * Scattered placements that found no free range in their probes
+     * and fell back to sequential placement.  Only the first is
+     * reported on stderr.
+     */
+    std::uint64_t scatteredFallbacks() const { return scattered_fallbacks_; }
+
     Addr base() const { return base_; }
     Addr span() const { return span_; }
 
@@ -213,6 +220,7 @@ class SimAllocator
     Addr bytes_peak_ = 0;
     Addr bytes_total_ = 0;
     std::uint64_t alloc_calls_ = 0;
+    std::uint64_t scattered_fallbacks_ = 0;
     std::uint64_t free_calls_ = 0;
 };
 

@@ -79,6 +79,20 @@ TEST(MshrDeathTest, CompleteWithoutAllocatePanics)
     EXPECT_DEATH(m.complete(0x123, 10), "without matching allocate");
 }
 
+TEST(MshrDeathTest, SecondPendingAllocationPanics)
+{
+    MshrFile m(4);
+    m.allocate(0x100, 0);
+    EXPECT_DEATH(m.allocate(0x200, 0), "another allocation is pending");
+}
+
+TEST(MshrDeathTest, CompleteOfAnotherLinePanics)
+{
+    MshrFile m(4);
+    m.allocate(0x100, 0);
+    EXPECT_DEATH(m.complete(0x200, 10), "without matching allocate");
+}
+
 TEST(MshrDeathTest, ZeroEntriesRejected)
 {
     EXPECT_DEATH(MshrFile m(0), "at least one entry");

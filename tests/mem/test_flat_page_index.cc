@@ -7,9 +7,10 @@
  * implementation (std::unordered_map) under sparse, dense, and
  * adversarial key distributions, across growth, through in-place
  * rewrites, and through forEach.
- * The TaggedMemory-level tests exercise the integration: the one-entry
- * last-page cache must never serve a stale page, and forwarding-state
- * listeners must keep firing exactly as before the swap.
+ * The TaggedMemory-level tests exercise the integration: the 256-entry
+ * direct-mapped page cache must never serve a stale page, also when
+ * page numbers collide in it, and forwarding-state listeners must keep
+ * firing exactly as before the swap.
  */
 
 #include <gtest/gtest.h>
@@ -124,6 +125,32 @@ TEST(FlatPageIndex, AdversarialClusteredKeys)
     differential(keys);
 }
 
+TEST(FlatPageIndex, KeysCollidingInThePageCache)
+{
+    // Page numbers equal modulo 256 share one entry of TaggedMemory's
+    // direct-mapped page cache; the index itself must not care.
+    std::vector<Addr> keys;
+    for (Addr i = 0; i < 1500; ++i)
+        keys.push_back(7 + i * 256);
+    for (Addr i = 0; i < 300; ++i)
+        keys.push_back((Addr(1) << 36) + i * 256 * 4096);
+    differential(keys);
+}
+
+TEST(FlatPageIndex, PointerValuesWithNullAsAbsent)
+{
+    // TaggedMemory keys its pages by pointer, with nullptr as absent.
+    BasicFlatPageIndex<const int *, nullptr> index;
+    std::vector<int> targets(2000);
+    for (std::size_t i = 0; i < targets.size(); ++i)
+        index.insert(Addr(i) * 256 + 3, &targets[i]);
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+        ASSERT_EQ(index.find(Addr(i) * 256 + 3), &targets[i]);
+        ASSERT_EQ(index.find(Addr(i) * 256 + 4), nullptr);
+    }
+    EXPECT_EQ(index.size(), targets.size());
+}
+
 TEST(FlatPageIndex, GrowthPreservesAllEntries)
 {
     FlatPageIndex index;
@@ -148,9 +175,9 @@ TEST(FlatPageIndex, GrowthPreservesAllEntries)
 TEST(TaggedMemoryFlatIndex, SparseHeapMatchesModel)
 {
     // Random word traffic over ~hundreds of far-apart pages, checked
-    // against a plain map.  Alternating pages defeats the one-entry
-    // last-page cache on nearly every access, so a stale-cache bug
-    // cannot hide.
+    // against a plain map.  With more pages than page-cache entries,
+    // and 40 of them on one entry, most accesses replace an entry, so
+    // a stale-cache bug cannot hide.
     Rng rng(testSeed(0x7a66));
     TaggedMemory mem;
     std::unordered_map<Addr, std::uint64_t> model;
@@ -158,6 +185,9 @@ TEST(TaggedMemoryFlatIndex, SparseHeapMatchesModel)
     std::vector<Addr> pages;
     for (int i = 0; i < 300; ++i)
         pages.push_back((rng.next() >> 16) * TaggedMemory::pageBytes);
+    // And pages whose numbers collide in the 256-entry page cache.
+    for (Addr i = 0; i < 40; ++i)
+        pages.push_back((0x3000 + i * 256) * TaggedMemory::pageBytes);
 
     for (int op = 0; op < 20000; ++op) {
         const Addr page = pages[rng.below(pages.size())];
@@ -198,6 +228,65 @@ TEST(TaggedMemoryFlatIndex, LastPageCacheSurvivesMaterialization)
         EXPECT_EQ(mem.rawReadWord(b), 222u);
     }
     EXPECT_EQ(mem.pagesAllocated(), 2u);
+}
+
+TEST(TaggedMemoryFlatIndex, CollidingPagesInThePageCache)
+{
+    // Pages 256 apart share a page-cache entry.  A cached miss for one
+    // must not hide a write to the other, and vice versa.
+    TaggedMemory mem;
+    const Addr stride = Addr(256) * TaggedMemory::pageBytes;
+    const Addr a = 0x7000, b = a + stride, c = a + 2 * stride;
+
+    EXPECT_EQ(mem.rawReadWord(a), 0u); // caches a miss for a
+    EXPECT_FALSE(mem.isMapped(b));     // ... replaced by a miss for b
+    mem.rawWriteWord(b, 2);            // materializes b
+    EXPECT_FALSE(mem.isMapped(a));
+    EXPECT_EQ(mem.rawReadWord(b), 2u);
+    mem.rawWriteWord(a, 1);            // materializes a over b's entry
+    EXPECT_EQ(mem.rawReadWord(b), 2u);
+    EXPECT_EQ(mem.rawReadWord(a), 1u);
+    EXPECT_FALSE(mem.isMapped(c));
+    EXPECT_FALSE(mem.fbit(c));
+    mem.setFBit(c + 8, true);
+    EXPECT_TRUE(mem.fbit(c + 8));
+    EXPECT_EQ(mem.rawReadWord(a), 1u);
+    EXPECT_FALSE(mem.fbit(a + 8));
+
+    EXPECT_EQ(mem.pagesAllocated(), 3u);
+    EXPECT_EQ(mem.mappedPageBases(),
+              (std::vector<Addr>{0x7000 & ~Addr(4095),
+                                 (a + stride) & ~Addr(4095),
+                                 (a + 2 * stride) & ~Addr(4095)}));
+    EXPECT_EQ(mem.fbitCount(), 1u);
+}
+
+TEST(TaggedMemoryFlatIndex, CachedMissLaterMaterializedByAWrite)
+{
+    // Every path that reads through the page cache caches a miss for
+    // an unmapped page; each kind of write must then materialize it
+    // visibly to every kind of read.
+    TaggedMemory mem;
+    const Addr base = 0x40000;
+    for (unsigned kind = 0; kind < 4; ++kind) {
+        const Addr a = base + Addr(kind) * TaggedMemory::pageBytes + 16;
+        EXPECT_FALSE(mem.isMapped(a));
+        EXPECT_EQ(mem.rawReadWord(a), 0u);
+        EXPECT_FALSE(mem.fbit(a));
+        EXPECT_EQ(mem.readBytes(a, 4), 0u);
+        switch (kind) {
+          case 0: mem.rawWriteWord(a, 0x55); break;
+          case 1: mem.writeBytes(a, 1, 0x55); break;
+          case 2: mem.unforwardedWrite(a, 0x55, true); break;
+          case 3: mem.setFBit(a, true); break;
+        }
+        EXPECT_TRUE(mem.isMapped(a)) << "kind " << kind;
+        EXPECT_EQ(mem.rawReadWord(a), kind == 3 ? 0u : 0x55u)
+            << "kind " << kind;
+        EXPECT_EQ(mem.fbit(a), kind >= 2) << "kind " << kind;
+    }
+    EXPECT_EQ(mem.pagesAllocated(), 4u);
+    EXPECT_EQ(mem.mappedPageBases().size(), 4u);
 }
 
 TEST(TaggedMemoryFlatIndex, MappedPageBasesAndFbitCountMatchModel)
@@ -260,6 +349,20 @@ TEST(TaggedMemoryFlatIndex, ListenerFiresAcrossFlatIndexPages)
 
     mem.rawWriteWord(fwd, 7); // now plain again: silent
     EXPECT_EQ(listener.events.size(), 3u);
+
+    // A page on the same page-cache entry as `fwd`'s: its first tag
+    // notifies, then `fwd`'s page is looked up again through the entry.
+    const Addr alias = fwd + Addr(256) * TaggedMemory::pageBytes;
+    EXPECT_EQ(mem.rawReadWord(alias), 0u);
+    mem.unforwardedWrite(alias, 0x1234, true);
+    ASSERT_EQ(listener.events.size(), 4u);
+    EXPECT_EQ(listener.events[3], std::make_pair(wordAlign(alias), false));
+    mem.setFBit(fwd, true);
+    ASSERT_EQ(listener.events.size(), 5u);
+    EXPECT_EQ(listener.events[4], std::make_pair(wordAlign(fwd), false));
+    mem.rawWriteWord(alias, 0x1234); // same payload: silent
+    EXPECT_EQ(listener.events.size(), 5u);
+    EXPECT_TRUE(mem.isMapped(alias));
 }
 
 } // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <set>
 #include <vector>
 
@@ -188,6 +190,45 @@ TEST(SimAllocator, ScatteredRequestOfWholeSpan)
     SimAllocator alloc(m, base, span);
     EXPECT_THROW(alloc.alloc(span + 8, Placement::scattered), AllocFailure);
     EXPECT_EQ(alloc.bytesLive(), 0u);
+}
+
+TEST(SimAllocator, ScatteredFallbacksCountedAndReportedOnce)
+{
+    // A 4 KiB arena filled to 4032 bytes: every scattered probe for 64
+    // bytes starts below 4032 and overlaps, so each request falls back
+    // to sequential placement.  The first finds the last 64 bytes; the
+    // rest find no room at all and throw after falling back.
+    Machine m;
+    const Addr base = m.config().heap_base;
+    SimAllocator alloc(m, base, 4096);
+    for (int i = 0; i < 63; ++i)
+        alloc.alloc(64, Placement::sequential);
+    EXPECT_EQ(alloc.scatteredFallbacks(), 0u);
+
+    const bool was_verbose = verbose();
+    setVerbose(true);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(alloc.alloc(64, Placement::scattered), base + 4032);
+    for (int i = 0; i < 6; ++i)
+        EXPECT_THROW(alloc.alloc(64, Placement::scattered), AllocFailure);
+    const std::string err = testing::internal::GetCapturedStderr();
+    setVerbose(was_verbose);
+
+    EXPECT_EQ(alloc.scatteredFallbacks(), 7u);
+    std::size_t lines = 0;
+    for (std::size_t at = 0;
+         (at = err.find("scattered placement degraded", at)) !=
+         std::string::npos;
+         ++at)
+        ++lines;
+    EXPECT_EQ(lines, 1u) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+
+    // A fresh allocator with room never falls back.
+    SimAllocator roomy(m, base + (Addr(1) << 24), Addr(1) << 20);
+    for (int i = 0; i < 100; ++i)
+        roomy.alloc(64, Placement::scattered);
+    EXPECT_EQ(roomy.scatteredFallbacks(), 0u);
 }
 
 TEST(SimAllocator, SequentialSkipsBlockAboveTheBump)
