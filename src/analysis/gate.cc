@@ -1,6 +1,5 @@
 #include "analysis/gate.hh"
 
-#include "analysis/scheduler.hh"
 #include "common/logging.hh"
 #include "mem/tagged_memory.hh"
 
@@ -107,36 +106,7 @@ AnalysisGate::submit(const RelocationPlan &plan)
         ++stats_.plans_verified;
     }
 
-    // Admission control: a statically-sound plan must additionally not
-    // interfere with the plans already in flight.  Every pair verdict
-    // the scheduler computes is mirrored into the trace as a
-    // race_check event, so the dynamic RaceObserver knows which
-    // overlaps the static pass vouched for.
-    const std::uint64_t ticket = ++next_ticket_;
-    if (scheduler_) {
-        const PlanScheduler::Decision decision =
-            scheduler_->admit(plan, ticket);
-        if (tracer_ && tracer_->active()) {
-            for (const PlanScheduler::PairCheck &check :
-                 decision.checks) {
-                obs::TraceEvent ev;
-                ev.kind = obs::EventKind::race_check;
-                ev.access = AccessType::load;
-                ev.ts = clock_ ? clock_() : 0;
-                ev.addr = check.other_ticket;
-                ev.addr2 = ticket;
-                ev.arg = static_cast<std::uint64_t>(check.verdict);
-                tracer_->emit(ev);
-            }
-        }
-        if (!decision.admitted && !keep_going_)
-            throw ScheduleRefused(plan.optimizer(), decision.diags);
-        // Keep-going: survey mode executes refused plans anyway; the
-        // scheduler does not track them.
-    }
-
     ActivePlan active;
-    active.ticket = ticket;
     for (const PlanMove &m : plan.moves())
         active.src_ranges.emplace_back(m.src, m.srcEnd());
 
@@ -179,8 +149,6 @@ void
 AnalysisGate::planDone()
 {
     memfwd_assert(!active_.empty(), "planDone() with no active plan");
-    if (scheduler_)
-        scheduler_->release(active_.back().ticket);
     for (SiteId id : active_.back().approved)
         approved_sites_.erase(id);
     active_.pop_back();
@@ -251,9 +219,6 @@ AnalysisGate::fillMetrics(obs::MetricsNode &into) const
     diags.counter("error", stats_.diag_errors);
     diags.counter("warn", stats_.diag_warnings);
     diags.counter("note", stats_.diag_notes);
-
-    if (scheduler_)
-        scheduler_->fillMetrics(into.child("interference"));
 }
 
 } // namespace memfwd

@@ -60,7 +60,6 @@ namespace memfwd
 {
 
 class TaggedMemory;
-class PlanScheduler;
 
 /** How much of the analysis machinery is active. */
 enum class AnalyzeMode
@@ -153,29 +152,6 @@ class AnalysisGate
     const std::vector<RelocationPlan> &plans() const { return plans_; }
 
     /**
-     * Attach a PlanScheduler (analysis/scheduler.hh): every submission
-     * is then checked for interference against the in-flight plans and
-     * refused (ScheduleRefused) when the verdict matrix forbids
-     * concurrent admission.  Not owned; nullptr detaches.
-     */
-    void setScheduler(PlanScheduler *scheduler)
-    {
-        scheduler_ = scheduler;
-    }
-
-    PlanScheduler *scheduler() const { return scheduler_; }
-
-    /**
-     * Ticket of the innermost active plan (0 when none): the id that
-     * tags this plan's relocation transactions in the trace
-     * (txn_begin/txn_commit) and in the scheduler's pair checks.
-     */
-    std::uint64_t activeTicket() const
-    {
-        return active_.empty() ? 0 : active_.back().ticket;
-    }
-
-    /**
      * Submit a plan: analyze it, account its diagnostics, and — in any
      * active mode — activate it for enforcement until planDone().
      * Plans nest (the collector emits per-object plans while an outer
@@ -252,13 +228,10 @@ class AnalysisGate
     std::vector<RelocationPlan> plans_;
     obs::Tracer *tracer_ = nullptr;
     std::function<Cycles()> clock_;
-    PlanScheduler *scheduler_ = nullptr;
-    std::uint64_t next_ticket_ = 0;
 
     /** Source ranges of every active (nested) plan, as (begin,end). */
     struct ActivePlan
     {
-        std::uint64_t ticket = 0;
         std::vector<std::pair<Addr, Addr>> src_ranges;
         std::vector<SiteId> approved;
     };

@@ -14,7 +14,6 @@ namespace
 constexpr const char *kind_names[] = {
     "reference", "chain_walk", "relocation", "trap", "cache_miss",
     "rollback",  "ftc",       "plan",       "temporal_violation",
-    "txn_begin", "txn_commit", "race_check",
 };
 
 constexpr const char *access_names[] = {"load", "store", "prefetch"};

@@ -49,10 +49,7 @@ enum class EventKind : std::uint8_t
     rollback,   ///< transactional relocation rolled back
     ftc,        ///< reference served by the forwarding translation cache
     plan,       ///< relocation plan submitted to the analysis gate
-    temporal_violation, ///< reference resolved into quarantined memory
-    txn_begin,  ///< transactional relocation opened (arg = plan ticket)
-    txn_commit, ///< transactional relocation committed (arg = plan ticket)
-    race_check  ///< scheduler pair verdict (addr/addr2 = tickets, arg = verdict)
+    temporal_violation ///< reference resolved into quarantined memory
 };
 
 const char *eventKindName(EventKind kind);

@@ -89,11 +89,10 @@ struct QuarantineConfig
 /**
  * Whole-machine configuration.
  *
- * Fields remain aggregate-initializable as before; the fluent setters
- * additionally make one-expression configs readable:
+ * Fields are public and aggregate-initializable; the knobs the benches
+ * sweep also have fluent setters, so a config reads as one expression:
  *
- *   Machine m(MachineConfig{}.lineBytes(64).forwardingMode(
- *       MachineConfig::Mode::exception));
+ *   Machine m(MachineConfig{}.lineBytes(64).hopLimit(8).ftc());
  */
 struct MachineConfig
 {
@@ -159,13 +158,6 @@ struct MachineConfig
     }
 
     MachineConfig &
-    l2Bytes(unsigned bytes)
-    {
-        hierarchy.l2.size_bytes = bytes;
-        return *this;
-    }
-
-    MachineConfig &
     memLatency(Cycles cycles)
     {
         hierarchy.memory.latency = cycles;
@@ -173,23 +165,9 @@ struct MachineConfig
     }
 
     MachineConfig &
-    forwardingMode(Mode mode)
-    {
-        forwarding.mode = mode;
-        return *this;
-    }
-
-    MachineConfig &
     hopLimit(unsigned limit)
     {
         forwarding.hop_limit = limit;
-        return *this;
-    }
-
-    MachineConfig &
-    cyclePolicy(CyclePolicy policy)
-    {
-        forwarding.cycle_policy = policy;
         return *this;
     }
 
@@ -216,37 +194,6 @@ struct MachineConfig
     collapse(bool on = true)
     {
         forwarding.collapse_enabled = on;
-        return *this;
-    }
-
-    /** Collapse threshold (hops); implies collapse(true). */
-    MachineConfig &
-    collapseThreshold(unsigned hops)
-    {
-        forwarding.collapse_enabled = true;
-        forwarding.collapse_threshold = hops;
-        return *this;
-    }
-
-    MachineConfig &
-    depSpeculation(bool on)
-    {
-        cpu.dep_speculation = on;
-        return *this;
-    }
-
-    MachineConfig &
-    tlbEnabled(bool on = true)
-    {
-        tlb.enabled = on;
-        return *this;
-    }
-
-    MachineConfig &
-    heapRegion(Addr base, Addr span)
-    {
-        heap_base = base;
-        heap_span = span;
         return *this;
     }
 

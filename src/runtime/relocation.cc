@@ -94,17 +94,6 @@ relocate(Machine &machine, Addr src, Addr tgt, unsigned n_words)
 
     FaultInjector *faults = machine.faultInjector();
 
-    // Transaction markers for the dynamic race-detection lane: the
-    // RaceObserver (analysis/race_observer.hh) attributes the word
-    // ranges between txn_begin and txn_commit to the active plan's
-    // ticket and cross-checks overlaps against the static verdicts.
-    const std::uint64_t txn_ticket = gate ? gate->activeTicket() : 0;
-    if (machine.tracer().active()) {
-        machine.tracer().emit({obs::EventKind::txn_begin,
-                               AccessType::store, machine.cycles(), src,
-                               tgt, txn_ticket, n_words});
-    }
-
     try {
         for (unsigned i = 0; i < n_words; ++i) {
             const Addr s = src + static_cast<Addr>(i) * wordBytes;
@@ -154,9 +143,6 @@ relocate(Machine &machine, Addr src, Addr tgt, unsigned n_words)
             }
         }
         if (machine.tracer().active()) {
-            machine.tracer().emit({obs::EventKind::txn_commit,
-                                   AccessType::store, machine.cycles(),
-                                   src, tgt, txn_ticket, n_words});
             machine.tracer().emit({obs::EventKind::relocation,
                                    AccessType::store, machine.cycles(),
                                    src, tgt, n_words, 0});

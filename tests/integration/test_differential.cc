@@ -120,9 +120,9 @@ TEST_P(WorkloadDifferential, AcceleratedRunIsArchitecturallyIdentical)
     WorkloadVariant variant;
     variant.layout_opt = true; // the L case is where chains exist
 
-    MachineConfig base = MachineConfig{}.forwardingMode(mode);
-    MachineConfig accel =
-        MachineConfig{}.forwardingMode(mode).ftc().collapse();
+    MachineConfig base;
+    base.forwarding.mode = mode;
+    MachineConfig accel = MachineConfig(base).ftc().collapse();
 
     Machine m_base(base);
     auto w_base = makeWorkload(name, params);
@@ -315,7 +315,7 @@ differentialConfig(int features, bool accelerated)
 {
     MachineConfig cfg;
     if (features == 3)
-        cfg.forwardingMode(MachineConfig::Mode::exception);
+        cfg.forwarding.mode = MachineConfig::Mode::exception;
     if (!accelerated)
         return cfg;
     if (features == 0)
@@ -451,10 +451,9 @@ TEST_P(FaultyOpsDifferential, QuarantineBehaviorMatches)
 {
     setVerbose(false);
     const std::uint64_t seed = testSeed(0xbad0000u + GetParam());
-    const MachineConfig base =
-        MachineConfig{}.cyclePolicy(CyclePolicy::quarantine);
-    const MachineConfig accel =
-        MachineConfig{}.cyclePolicy(CyclePolicy::quarantine).ftc().collapse();
+    MachineConfig base;
+    base.forwarding.cycle_policy = CyclePolicy::quarantine;
+    const MachineConfig accel = MachineConfig(base).ftc().collapse();
 
     const FaultyOutcome a = runFaultySequence(base, seed);
     const FaultyOutcome b = runFaultySequence(accel, seed);

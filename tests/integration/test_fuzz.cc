@@ -230,9 +230,10 @@ TEST_P(ChainInterleavingFuzz, QuarantinedCyclesNeverDerailCleanChains)
     const int flavor = std::get<1>(GetParam());
 
     MachineConfig cfg = fuzzConfig(flavor >= 1);
-    cfg.cyclePolicy(CyclePolicy::quarantine).hopLimit(6);
+    cfg.forwarding.cycle_policy = CyclePolicy::quarantine;
+    cfg.hopLimit(6);
     if (flavor == 2)
-        cfg.forwardingMode(MachineConfig::Mode::exception);
+        cfg.forwarding.mode = MachineConfig::Mode::exception;
     Machine m(cfg);
     Rng rng(seed);
 

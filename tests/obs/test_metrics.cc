@@ -195,7 +195,9 @@ TEST(FtcMetrics, CountersExportAndRoundTrip)
     // A 3-hop chain referenced twice: the first load walks (FTC miss +
     // collapse), the second is an FTC hit.  The counters must survive
     // the JSON export/parse round-trip exactly.
-    Machine m(MachineConfig{}.ftcGeometry(16, 2).collapseThreshold(2));
+    MachineConfig cfg = MachineConfig{}.ftcGeometry(16, 2).collapse();
+    cfg.forwarding.collapse_threshold = 2;
+    Machine m(cfg);
     m.access(Access::store(0x1000, 8, 42));
     relocate(m, 0x1000, 0x2000, 1);
     relocate(m, 0x2000, 0x3000, 1);

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "analysis/gate.hh"
-#include "analysis/scheduler.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -170,20 +169,18 @@ goldenPaths()
 
 /**
  * A machine with every optional subsystem attached and exercised
- * (TLB, FTC, quarantine, analysis gate + scheduler, a layout backend
+ * (TLB, FTC, quarantine, analysis gate, a layout backend
  * resolving references, a folded-in audit), so every conditional
  * child and gauge is emitted.
  */
 Paths
 fullyConfiguredPaths()
 {
-    Machine m(MachineConfig{}
-                  .tlbEnabled()
-                  .ftcGeometry(16, 2)
-                  .quarantine(1ULL << 20));
+    MachineConfig cfg =
+        MachineConfig{}.ftcGeometry(16, 2).quarantine(1ULL << 20);
+    cfg.tlb.enabled = true;
+    Machine m(cfg);
     AnalysisGate gate(AnalyzeMode::enforce);
-    PlanScheduler scheduler;
-    gate.setScheduler(&scheduler);
     m.setAnalysisGate(&gate);
     SimAllocator alloc(m);
     QuarantineAllocator qa(m, alloc);

@@ -211,10 +211,9 @@ class LongChainParity : public ::testing::TestWithParam<CyclePolicy>
 
 TEST_P(LongChainParity, FastForwardMatchesTimed)
 {
-    const MachineConfig timed_cfg =
-        MachineConfig{}
-            .forwardingMode(MachineConfig::Mode::exception)
-            .cyclePolicy(GetParam());
+    MachineConfig timed_cfg;
+    timed_cfg.forwarding.mode = MachineConfig::Mode::exception;
+    timed_cfg.forwarding.cycle_policy = GetParam();
     const LongChainOutcome timed = loadThroughLongChain(timed_cfg);
     const LongChainOutcome ff =
         loadThroughLongChain(MachineConfig(timed_cfg).fastForward());

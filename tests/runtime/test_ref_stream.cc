@@ -247,7 +247,8 @@ class BatchInvariance
 
 TEST_P(BatchInvariance, AnyCapacityMatchesPerCallExactly)
 {
-    const MachineConfig cfg = MachineConfig{}.forwardingMode(GetParam());
+    MachineConfig cfg;
+    cfg.forwarding.mode = GetParam();
     const Outcome per_call = runPerCall(cfg);
 
     // The program must actually exercise forwarding inside batches.
@@ -270,10 +271,9 @@ TEST_P(BatchInvariance, FastForwardKeepsArchitecturalLog)
 {
     // Functional fast-forward drops timing but nothing else: the same
     // program yields the identical value/address/trap log and heap.
-    const MachineConfig timed_cfg =
-        MachineConfig{}.forwardingMode(GetParam());
-    const MachineConfig ff_cfg =
-        MachineConfig{}.forwardingMode(GetParam()).fastForward();
+    MachineConfig timed_cfg;
+    timed_cfg.forwarding.mode = GetParam();
+    const MachineConfig ff_cfg = MachineConfig(timed_cfg).fastForward();
 
     const Outcome timed = runBatched(timed_cfg, 64);
     const Outcome ff = runBatched(ff_cfg, 64);

@@ -432,9 +432,9 @@ runSelftest(const std::string &json_path)
     for (const SeededPair &seed : seededNegativePairs()) {
         const PairFinding finding = pairwise.analyzePair(seed.a, seed.b);
         // The code must be reported *and* yield the right verdict:
-        // a conflict demoted to ordered would admit an unserializable
-        // pair, and an ordered promoted to conflict starves the
-        // scheduler.
+        // a conflict demoted to ordered would call an unserializable
+        // pair safe in one order, and an ordered promoted to conflict
+        // would forbid a pair that is safe in one order.
         const bool detected = finding.hasCode(seed.expect) &&
                               finding.verdict == seed.verdict;
         all_detected = all_detected && detected;
